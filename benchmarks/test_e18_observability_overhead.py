@@ -135,7 +135,7 @@ def _experiment():
             break
 
     # batch kernel: structural gate — a present-but-disabled bundle must
-    # leave the accelerated engines selected, exactly like telemetry=None
+    # leave the lean engine selected, exactly like telemetry=None
     disabled = _obs_off()
     probe = _build("batch", disabled)
     assert not disabled.enabled
@@ -143,7 +143,7 @@ def _experiment():
         "a disabled Telemetry bundle set the batch kernel's _tel gate; "
         "every per-window observability branch now runs"
     )
-    assert probe._lean or probe._array_core, (
+    assert probe._lean, (
         "a disabled Telemetry bundle demoted the batch kernel to its "
         "general engine (~4x slower); the off path is no longer free"
     )

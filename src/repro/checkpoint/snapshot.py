@@ -784,7 +784,6 @@ def _snap_batch(sw: Any) -> dict:
         )
     body = {
         "batch_cycles": sw.batch_cycles,
-        "jit": sw.jit_state != "off",
         "next_uid": sw._next_uid,
         "free": sw._free,
         "peak": sw._peak_occ,
@@ -806,7 +805,6 @@ def _snap_batch(sw: Any) -> dict:
         "credit_returns": [list(x) for x in sw._credit_returns],
         "pending_departures": [list(x) for x in sw._pending_departures],
         "lean_due": list(sw._lean_due),
-        "core_due_mask": sw._core_due_mask,
         "idle_flushed": sw._idle_flushed,
         "deadline_flushed": sw._deadline_flushed,
         "tape_next_poll": (sw._tape._next_poll
@@ -825,13 +823,20 @@ def _restore_batch(
     from repro.core.batchpath import BatchPipelinedSwitch, _SaturatingTape
 
     body = doc["switch"]
+    if body.get("jit"):
+        # Array-core snapshots keep in-flight releases in a due bitmask the
+        # remaining engines do not have; resuming them would diverge.
+        raise CheckpointUnsupportedError(
+            "snapshot was saved by the batch kernel's retired numba array "
+            "core (jit=true); its in-flight state cannot be resumed on the "
+            "lean or general engine, re-run from the start instead"
+        )
     # Construct with the restored telemetry *before* overwriting state: the
-    # constructor selects the lean/array-core engines from telemetry
-    # presence and resolves metric handles against the restored registry.
+    # constructor selects the lean/general engine from telemetry presence
+    # and resolves metric handles against the restored registry.
     sw = BatchPipelinedSwitch(cfg, source, telemetry=telemetry,
                               sanitizer=None,
-                              batch_cycles=body["batch_cycles"],
-                              jit=body["jit"])
+                              batch_cycles=body["batch_cycles"])
     sw.cycle = doc["cycle"]
     sw._next_uid = body["next_uid"]
     sw._free = body["free"]
@@ -855,7 +860,6 @@ def _restore_batch(
     sw._pending_departures = deque(tuple(x)
                                    for x in body["pending_departures"])
     sw._lean_due = deque(body["lean_due"])
-    sw._core_due_mask = body["core_due_mask"]
     sw._idle_flushed = body["idle_flushed"]
     sw._deadline_flushed = body["deadline_flushed"]
     if body["tape_next_poll"] is not None:

@@ -239,10 +239,6 @@ def _add_bench(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--policy", metavar="SPEC", default=None,
                    help="admission policy for every kernel (e.g. "
                         "dynamic:alpha=1.0); default complete sharing")
-    p.add_argument("--jit", action="store_true",
-                   help="enable the batch kernel's numba array core "
-                        "(REPRO_JIT=1 equivalent; falls back gracefully "
-                        "when numba is absent)")
     p.add_argument("--profile", action="store_true",
                    help="run under cProfile and print the top 20 functions "
                         "by cumulative time (forces a single kernel; "
@@ -286,11 +282,8 @@ def cmd_bench(args) -> int:
         params = dict(scenario.params)
         if args.policy is not None:
             params["policy"] = args.policy
-        if kernel == "batch":
-            if args.batch_cycles is not None:
-                params["batch_cycles"] = args.batch_cycles
-            if args.jit:
-                params["jit"] = True
+        if kernel == "batch" and args.batch_cycles is not None:
+            params["batch_cycles"] = args.batch_cycles
         sc = dataclasses.replace(scenario, arch=arch_names[kernel],
                                  params=params)
         return prepare(sc).switch

@@ -12,7 +12,6 @@ from repro.core.bank import BankConflictError, MemoryBank
 from repro.core.batchpath import (
     DEFAULT_BATCH_CYCLES,
     BatchPipelinedSwitch,
-    resolve_jit,
 )
 from repro.core.buffer_manager import BufferFullError, BufferManager
 from repro.core.bus import Bus, BusContentionError
@@ -53,7 +52,6 @@ __all__ = [
     "BatchPipelinedSwitch",
     "BatchRenewalSource",
     "DEFAULT_BATCH_CYCLES",
-    "resolve_jit",
     "make_pipelined_switch",
     "WaveTracer",
     "WideMemorySwitch",

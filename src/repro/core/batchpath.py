@@ -32,10 +32,9 @@ itself.  It advances the switch in *cycle batches*:
   ``t+1``), so decision resolution stays sequential; everything around it
   is batched.
 
-An optional array-resident core (:mod:`repro.core._batchcore`) holds the
-same state in struct-of-arrays form and can be compiled with numba behind
-``REPRO_JIT=1`` / ``--jit``; results are identical with or without numba,
-and with the flag unset (see :func:`resolve_jit`).
+Two engines advance a window, chosen from the configuration's shape: a
+lean bitmask engine for single-quantum cut-through with telemetry off and at
+most 12 ports, and a general engine for everything else.
 
 The correctness contract is the three-way equivalence matrix
 (``tests/core/test_batchpath.py``): checked == fast == batch, bit for bit,
@@ -50,7 +49,6 @@ tape, an attached runtime sanitizer — are refused via
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from heapq import heappop, heappush
 from typing import Protocol
@@ -155,23 +153,6 @@ class _SaturatingTape:
             self._next_poll = cycle
 
 
-def resolve_jit(jit: bool | None) -> str:
-    """Resolve the JIT mode: explicit argument beats ``REPRO_JIT=1``.
-
-    Returns ``"off"`` (default: tuned pure-Python engine), ``"active"``
-    (array core compiled with numba) or ``"unavailable"`` (JIT requested
-    but numba is not importable: the same array core runs uncompiled —
-    identical results, no hard dependency).
-    """
-    if jit is None:
-        jit = os.environ.get("REPRO_JIT", "") == "1"
-    if not jit:
-        return "off"
-    from repro.core import _batchcore
-
-    return "active" if _batchcore.NUMBA_AVAILABLE else "unavailable"
-
-
 _LEAN_TABLES: dict[
     int, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 ] = {}
@@ -229,7 +210,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         telemetry: Telemetry | None = None,
         sanitizer: Sanitizer | None = None,
         batch_cycles: int = DEFAULT_BATCH_CYCLES,
-        jit: bool | None = None,
     ) -> None:
         ensure_wave_kernel_supported(_KERNEL, config, source)
         if config.credit_flow:
@@ -312,7 +292,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         # sharing, consulted never — the seed hot path is untouched.
         self.policy = config.policy
         self._policy_trivial = self.policy.trivial
-        self._policy_code = self.policy.kernel_code()
         self.stagger_extra = Counter()
         self._unobstructed: set[int] = set()
         # -- batched logs, consumed by _flush() --------------------------------
@@ -338,26 +317,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self._deadline_flushed = 0
         self.attach_telemetry(telemetry)
         self.attach_sanitizer(sanitizer)
-        self.jit_state = resolve_jit(jit)
-        # The array core covers the same shape as the lean engine minus the
-        # port-count cap: single-quantum cut-through with telemetry off.
-        core_shape = self._quanta == 1 and config.cut_through and not self._tel
-        if self.jit_state != "off" and core_shape and self._policy_code is None:
-            # Refuse, don't approximate: a policy without an integer kernel
-            # encoding cannot run on the array core, and silently falling
-            # back would make --jit lie about what executed.
-            raise reject_unsupported(
-                _KERNEL,
-                f"admission policy '{self.policy.spec}' does not compile to "
-                f"the numba array core (kernel_code() is None); run it "
-                f"without --jit",
-            )
-        self._array_core = self.jit_state != "off" and core_shape
-        if self.jit_state != "off" and not core_shape:
-            self.jit_state = "unsupported"
-        # Unfired due bitmask for the array core (bit j set while output j
-        # has a wave in flight whose address release is pending).
-        self._core_due_mask = 0
         # The dominant benchmark shape — single-quantum cut-through with
         # telemetry off — runs on a further-specialized engine whose
         # round-robin scans are O(1) bitmask rotations and whose next-wave-ok
@@ -366,7 +325,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             self._quanta == 1
             and config.cut_through
             and not self._tel
-            and not self._array_core
             and n <= 12  # mask-table size: 2**n entries
         )
         self._bits: tuple[tuple[int, ...], ...] = ()
@@ -382,12 +340,17 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         return [len(q) for q in self._queues]
 
     def _peak_occupancy(self) -> int:
-        # Only the general engine maintains this: the lean engine and the
-        # array core exist for the telemetry-off shape, where the gauge is
-        # never sampled.
+        # Only the general engine maintains this: the lean engine exists for
+        # the telemetry-off shape, where the gauge is never sampled.
         return self._peak_occ
 
     # -- public API -----------------------------------------------------------
+    @property
+    def jit_state(self) -> str:
+        """Always ``"off"``: both engines are plain Python.  Provenance
+        records (benchmark artifacts, run manifests) still name it."""
+        return "off"
+
     @property
     def warmup(self) -> int:
         return self.stats.warmup
@@ -484,12 +447,6 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         hoisted locals; statistics/telemetry consequences are appended to
         the window logs and applied by :meth:`_flush`.
         """
-        if self._array_core:
-            from repro.core import _batchcore
-
-            _batchcore.advance_window(self, stop, arr_c, arr_l, arr_d,
-                                      draining)
-            return
         if self._lean:
             self._advance_window_lean(stop, arr_c, arr_l, arr_d, draining)
             return
@@ -528,7 +485,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         sample_log = self._sample_log
         policy_trivial = self._policy_trivial
         policy_admit = self.policy.admit
-        offered = accepted = dropped = 0
+        offered = accepted = 0
         idle = 0
         deadline = 0
         write_waves = ct_waves = read_waves = 0
@@ -697,8 +654,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         ai += 1
                         if pend_uid[i] >= 0:
                             if pend_arr[i] >= warmup:
-                                dropped += 1
-                            overruns += 1
+                                overruns += 1
                             unobstructed.discard(pend_uid[i])
                             dlog_append((t, pend_uid[i], i, pend_dst[i],
                                          _HEAD, pend_arr[i]))
@@ -735,8 +691,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     unobstructed.add(uid)
                         if not admitted:
                             if t >= warmup:
-                                dropped += 1
-                            policy_drops += 1
+                                policy_drops += 1
                             dlog_append((t, uid, i, d, _POLICY, t))
                         alog_append((t, uid, i, d))
                 else:
@@ -753,8 +708,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         if is_check:
                             if pend_uid[i] >= 0:
                                 if pend_arr[i] >= warmup:
-                                    dropped += 1
-                                overruns += 1
+                                    overruns += 1
                                 unobstructed.discard(pend_uid[i])
                                 dlog_append((t, pend_uid[i], i, pend_dst[i],
                                              _QUANTUM, pend_arr[i]))
@@ -762,8 +716,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                             continue
                         if pend_uid[i] >= 0:
                             if pend_arr[i] >= warmup:
-                                dropped += 1
-                            overruns += 1
+                                overruns += 1
                             unobstructed.discard(pend_uid[i])
                             dlog_append((t, pend_uid[i], i, pend_dst[i],
                                          _HEAD, pend_arr[i]))
@@ -799,8 +752,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                                     unobstructed.add(uid)
                         if not admitted:
                             if t >= warmup:
-                                dropped += 1
-                            policy_drops += 1
+                                policy_drops += 1
                             dlog_append((t, uid, i, d, _POLICY, t))
                         alog_append((t, uid, i, d))
             elif qchecks and qchecks[0][0] == t:
@@ -808,8 +760,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     i = heappop(qchecks)[1]
                     if pend_uid[i] >= 0:
                         if pend_arr[i] >= warmup:
-                            dropped += 1
-                        overruns += 1
+                            overruns += 1
                         unobstructed.discard(pend_uid[i])
                         dlog_append((t, pend_uid[i], i, pend_dst[i],
                                      _QUANTUM, pend_arr[i]))
@@ -878,7 +829,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         stats = self.stats
         stats.offered += offered
         stats.accepted += accepted
-        stats.dropped += dropped
+        # Both drop causes count on the measurement window (the warmup
+        # gate of SwitchStats.record_drop), so they sum to ``dropped``.
+        stats.dropped += overruns + policy_drops
         self.cycle = t
         stats.horizon = t
 
@@ -979,7 +932,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         wm1 = w - 1
         policy_trivial = self._policy_trivial
         policy_admit = self.policy.admit
-        offered = accepted = dropped = 0
+        offered = accepted = 0
         idle = deadline = 0
         write_waves = ct_waves = read_waves = 0
         overruns = 0
@@ -1245,8 +1198,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                     ibit = 1 << i
                     if pend_mask & ibit:
                         if pend_arr[i] >= warmup:
-                            dropped += 1
-                        overruns += 1
+                            overruns += 1
                         unobstructed.discard(pend_uid[i])
                     uid = next_uid
                     next_uid += 1
@@ -1283,8 +1235,7 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
                         pend_uid[i] = -1
                         pend_mask &= ~ibit
                         if t >= warmup:
-                            dropped += 1
-                        policy_drops += 1
+                            policy_drops += 1
                 next_arr = arr_c[ai] if ai < n_arr else never
                 # A pend created this cycle becomes eligible at t + 1; fold
                 # it into the idle-skip wake target.
@@ -1330,7 +1281,9 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
         self.plain_read_waves += read_waves
         stats.offered += offered
         stats.accepted += accepted
-        stats.dropped += dropped
+        # Both drop causes count on the measurement window (the warmup
+        # gate of SwitchStats.record_drop), so they sum to ``dropped``.
+        stats.dropped += overruns + policy_drops
         stats.delivered = delivered
         delay.count, delay._mean, delay._m2 = dl_n, dl_mean, dl_m2
         delay.minimum, delay.maximum = dl_min, dl_max

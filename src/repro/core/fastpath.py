@@ -601,7 +601,8 @@ class FastPipelinedSwitch(SwitchTelemetryMixin):
             if self._san:
                 self.sanitizer.packet_dropped(t, uid)
             self.stats.record_drop(t)
-            self.policy_drops += 1
+            if t >= self.stats.warmup:
+                self.policy_drops += 1
             if self._tel:
                 self._emit_drop(t, i, uid, dst, DROP_POLICY)
             return
@@ -636,8 +637,10 @@ class FastPipelinedSwitch(SwitchTelemetryMixin):
         uid = self._pend_uid[i]
         if self._san:
             self.sanitizer.packet_dropped(t, uid)
-        self.stats.record_drop(self._pend_arr[i])
-        self.overrun_drops += 1
+        arrival = self._pend_arr[i]
+        self.stats.record_drop(arrival)
+        if arrival >= self.stats.warmup:
+            self.overrun_drops += 1
         self._unobstructed.discard(uid)
         if self._tel:
             self._emit_drop(t, i, uid, self._pend_dst[i], cause)
@@ -652,7 +655,6 @@ def make_pipelined_switch(
     sanitizer: Sanitizer | None = None,
     kernel: str | None = None,
     batch_cycles: int | None = None,
-    jit: bool | None = None,
 ) -> "PipelinedSwitch | FastPipelinedSwitch | BatchPipelinedSwitch":
     """Build one of the three kernels: checked, wave-level fast, or batch.
 
@@ -661,8 +663,7 @@ def make_pipelined_switch(
     three produce bit-identical statistics on the same seed; the fast
     kernel skips every structural-invariant check (see module docstring)
     and the batch kernel additionally advances in cycle batches over an
-    arrival tape (``batch_cycles`` sets the window; ``jit`` opts into the
-    numba array core when available).  Pass a
+    arrival tape (``batch_cycles`` sets the window).  Pass a
     :class:`~repro.telemetry.Telemetry` bundle to collect metrics and
     lifecycle events — the streams are equivalent between kernels.
 
@@ -682,15 +683,10 @@ def make_pipelined_switch(
             config, source, telemetry=telemetry, sanitizer=sanitizer,
             batch_cycles=DEFAULT_BATCH_CYCLES if batch_cycles is None
             else batch_cycles,
-            jit=jit,
         )
     if batch_cycles is not None:
         raise ConfigError(
             f"batch_cycles only applies to the batch kernel, not {kernel!r}"
-        )
-    if jit:
-        raise ConfigError(
-            f"jit only applies to the batch kernel, not {kernel!r}"
         )
     if kernel == "fast":
         return FastPipelinedSwitch(config, source, telemetry=telemetry,

@@ -227,6 +227,8 @@ class PipelinedSwitch(SwitchTelemetryMixin):
         self.write_waves = 0
         self.idle_cycles = 0
         self.deadline_overrides = 0
+        # Drop causes, counted over the measurement window (after warmup,
+        # like stats.dropped), so they sum to stats.dropped.
         self.overrun_drops = 0  # packets dropped because buffer stayed full
         self.policy_drops = 0  # packets refused by the admission policy
         # Admission policy (normalized by the config): trivial policies
@@ -680,7 +682,8 @@ class PipelinedSwitch(SwitchTelemetryMixin):
             if self._san:
                 self.sanitizer.packet_dropped(t, packet.uid)
             self.stats.record_drop(t)
-            self.policy_drops += 1
+            if t >= self.stats.warmup:
+                self.policy_drops += 1
             if self._tel:
                 self._emit_drop(t, i, packet.uid, dst, DROP_POLICY)
             state.discard_current = True
@@ -730,7 +733,8 @@ class PipelinedSwitch(SwitchTelemetryMixin):
         if self._san:
             self.sanitizer.packet_dropped(t, w.uid)
         self.stats.record_drop(w.arrival_cycle)
-        self.overrun_drops += 1
+        if w.arrival_cycle >= self.stats.warmup:
+            self.overrun_drops += 1
         if self._tel:
             self._emit_drop(t, i, w.uid, w.dst, cause)
         self._sent.pop(w.uid, None)

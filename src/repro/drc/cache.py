@@ -13,7 +13,7 @@ their output.  Everything is keyed by content, never by mtime:
   findings straight from the entry.
 * a **project blob** — keyed by the aggregate sha over the sorted
   ``(relpath, sha)`` list.  Project-scope rules (registry coverage, RNG
-  provenance, checkpoint completeness, numba compat) see the whole
+  provenance, checkpoint completeness) see the whole
   program, so any content change re-runs them; when the aggregate
   matches, the entire result is reconstructed without parsing a single
   file (``files_analyzed == 0``).

@@ -9,8 +9,8 @@ sets per supported kernel:
 
 * the **mutable set** — attributes of the kernel object written or
   mutated anywhere on the ``run``/``drain`` call closure, computed by
-  the interprocedural dataflow engine (so ``_batchcore.advance_window``
-  writing ``switch._free`` across a module boundary counts, as do
+  the interprocedural dataflow engine (so a helper in another module
+  writing ``switch._free`` across the module boundary counts, as do
   mutations through local aliases and bound methods);
 * the **serialized set** — attributes the kernel's snapshot codec (and
   the helpers it hands the switch to, plus ``snapshot_switch`` itself)

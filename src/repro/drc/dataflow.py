@@ -3,9 +3,9 @@
 The checkpoint-completeness family (DRC151-153) needs to know, for a
 kernel class, *which attributes of the object are written or mutated on
 the run/drain paths* and *which attributes a checkpoint codec reads* —
-including effects that happen in another module entirely (the batch
-kernel hands itself to ``repro.core._batchcore.advance_window``, which
-writes two dozen ``switch._x`` fields back).  The RNG rules reuse the
+including effects that happen in another module entirely (a kernel that
+hands itself to a helper function elsewhere, which writes ``switch._x``
+fields back).  The RNG rules reuse the
 same call-resolution machinery.
 
 The engine computes, per function, a :class:`ParamEffects` summary for

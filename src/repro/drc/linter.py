@@ -63,9 +63,8 @@ from repro.drc.graph import imports_in, module_qname
 from repro.drc.rules import LintModule, Project, Violation, rule_catalog
 
 # Imported for their @register side effects: these modules contribute the
-# RNG-provenance, checkpoint-completeness, and numba-compat rule families.
+# RNG-provenance and checkpoint-completeness rule families.
 from repro.drc import checkpoint_rules as _checkpoint_rules  # noqa: F401
-from repro.drc import numba_rules as _numba_rules  # noqa: F401
 from repro.drc import rng_rules as _rng_rules  # noqa: F401
 
 #: directories never descended into during file discovery

@@ -30,10 +30,7 @@ kernel at the arrival instant:
   the queued packets plus the at-most-one departure chain in flight.
 
 Policies are pure functions of that view, so the decision stream is
-reproducible and the four built-ins compile to scalar integer arithmetic
-for the numba array core (:meth:`AdmissionPolicy.kernel_code`).  A policy
-that cannot compile returns ``None`` there and the array core refuses
-loudly (``FastPathUnsupportedError``) instead of approximating.
+reproducible: every kernel tier and engine calls the same :meth:`admit`.
 """
 
 from __future__ import annotations
@@ -52,23 +49,12 @@ __all__ = [
     "PortReservation",
     "POLICIES",
     "parse_policy",
-    "K_COMPLETE",
-    "K_STATIC",
-    "K_DYNAMIC",
-    "K_RESERVATION",
 ]
 
-# Integer policy codes understood by the batch array core
-# (repro.core._batchcore).  Stable: checkpoints never store them (they
-# store spec strings), but the lean/batch engines share them too.
-K_COMPLETE = 0
-K_STATIC = 1
-K_DYNAMIC = 2
-K_RESERVATION = 3
-
-# Denominator bound for the dynamic threshold's exact-rational alpha.
-# Keeps every intermediate product of the admission test inside int64 so
-# the numba core and the Python engines compute bit-identical decisions.
+# Denominator bound for the dynamic threshold's exact-rational alpha.  The
+# bounded fraction *defines* the admission test (which packets get in), so
+# changing the bound would change results; it also keeps every product of
+# the test small enough to stay exact.
 _ALPHA_DENOMINATOR_LIMIT = 1 << 16
 
 
@@ -107,11 +93,6 @@ class AdmissionPolicy:
     def validate(self, *, n: int, addresses: int, quanta: int) -> None:
         """Raise :class:`ConfigError` if this policy cannot govern the
         given switch geometry."""
-
-    def kernel_code(self) -> tuple[int, int, int] | None:
-        """``(kind, p1, p2)`` integer triple for the batch array core, or
-        ``None`` if this policy does not compile (the core then refuses)."""
-        return None
 
     # -- checkpoint hooks ---------------------------------------------------
     def state(self) -> object | None:
@@ -152,9 +133,6 @@ class CompleteSharing(AdmissionPolicy):
     def admit(self, dst: int, free: int, held: Sequence[int], quanta: int) -> bool:
         return True
 
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_COMPLETE, 0, 0)
-
 
 class StaticThreshold(AdmissionPolicy):
     """Per-output static cap: refuse when output ``dst`` already holds
@@ -176,19 +154,16 @@ class StaticThreshold(AdmissionPolicy):
     def admit(self, dst: int, free: int, held: Sequence[int], quanta: int) -> bool:
         return held[dst] < self.cap
 
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_STATIC, self.cap, 0)
-
 
 class DynamicThreshold(AdmissionPolicy):
     """Choudhury–Hahne dynamic threshold (the BShare baseline): admit while
     the output's occupancy stays below ``alpha`` times the *free* space.
 
     The test is evaluated in exact integer arithmetic —
-    ``quanta * (held[dst] + 1) * den <= num * free`` with
-    ``num/den ≈ alpha`` (denominator bounded so every product fits int64)
-    — so the Python engines and the numba array core take bit-identical
-    decisions.
+    ``quanta * (held[dst] + 1) * den <= num * free`` with ``num/den ≈
+    alpha`` (denominator bounded) — so the decision never depends on float
+    rounding.  The bounded fraction is part of the policy's definition:
+    it fixes which packets are admitted, and with them every result.
     """
 
     kind = "dynamic"
@@ -212,9 +187,6 @@ class DynamicThreshold(AdmissionPolicy):
             quanta * (held[dst] + 1) * self.alpha_den
             <= self.alpha_num * free
         )
-
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_DYNAMIC, self.alpha_num, self.alpha_den)
 
 
 class PortReservation(AdmissionPolicy):
@@ -252,9 +224,6 @@ class PortReservation(AdmissionPolicy):
             if j != dst and h < reserve:
                 shortfall += reserve - h
         return free >= quanta * (1 + shortfall)
-
-    def kernel_code(self) -> tuple[int, int, int]:
-        return (K_RESERVATION, self.reserve, 0)
 
 
 #: Registry of every admission policy, keyed by spec kind.  The scenario

@@ -222,7 +222,7 @@ def _build_pipelined_fast(p, source, telemetry, sanitizer=None):
 
 #: batch-kernel extras on top of the pipelined config params
 _PIPELINED_BATCH_PARAMS: Mapping[str, Any] = {
-    **_PIPELINED_PARAMS, "batch_cycles": None, "jit": None,
+    **_PIPELINED_PARAMS, "batch_cycles": None,
 }
 
 
@@ -230,7 +230,7 @@ def _build_pipelined_batch(p, source, telemetry, sanitizer=None):
     from repro.core import make_pipelined_switch
     return make_pipelined_switch(_pipelined_config(p), source, kernel="batch",
                                  telemetry=telemetry, sanitizer=sanitizer,
-                                 batch_cycles=p["batch_cycles"], jit=p["jit"])
+                                 batch_cycles=p["batch_cycles"])
 
 
 def _wide_config(p):
@@ -281,7 +281,7 @@ _register(ArchitectureDef(
 _register(ArchitectureDef(
     name="pipelined_batch", kind=WORD,
     description="array-batched kernel (bit-identical statistics in "
-                "cycle batches; optional numba JIT)",
+                "cycle batches)",
     params=_PIPELINED_BATCH_PARAMS, build=_WORD_BUILDERS["pipelined_batch"],
     telemetry_ok=True, drain_ok=True, sanitize_ok=False,
 ))

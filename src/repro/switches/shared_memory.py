@@ -65,7 +65,7 @@ class SharedBuffer(SlottedSwitch):
                 )
             self.policy.validate(n=n_out, addresses=capacity, quanta=1)
         self._policy_trivial = self.policy.trivial
-        self.policy_drops = 0
+        self.policy_drops = 0  # after warmup, like stats.dropped
         self.queues: list[deque[Cell]] = [deque() for _ in range(n_out)]
         self._total = 0
         self.rng = make_rng(seed)
@@ -88,7 +88,8 @@ class SharedBuffer(SlottedSwitch):
                     [len(q) for q in self.queues],
                     1,
                 ):
-                    self.policy_drops += 1
+                    if cell.arrival_slot >= self.stats.warmup:
+                        self.policy_drops += 1
                     self._record_late_drop(cell, cause=DROP_POLICY)
                 else:
                     self.queues[cell.dst].append(cell)

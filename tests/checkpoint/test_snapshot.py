@@ -7,6 +7,7 @@ round trip, including k inside a batch window and mid-packet-chain.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -222,4 +223,35 @@ def test_restored_doc_survives_fresh_process_semantics():
     other.run(200)
     resumed = restore_switch(doc)
     resumed.run(400 - 123)
+    assert fingerprint(resumed) == fingerprint(ref)
+
+
+# -- frozen batch documents -----------------------------------------------------
+# Two 4x4 SaturatingSource batch snapshots at cycle 300, saved before the
+# batch kernel's array core was retired: one from the lean engine
+# (jit=false, dynamic:alpha=0.5) and one from the array core (jit=true).
+
+DOCS = Path(__file__).parent / "docs"
+
+
+def test_array_core_snapshot_is_refused():
+    doc = load(DOCS / "batch_jit_true.json")
+    assert doc["switch"]["jit"] is True
+    with pytest.raises(CheckpointUnsupportedError, match="array core"):
+        restore_switch(doc)
+
+
+def test_frozen_lean_snapshot_resumes_bit_identically():
+    doc = load(DOCS / "batch_jit_false.json")
+    assert doc["switch"]["jit"] is False and doc["cycle"] == 300
+    resumed = restore_switch(doc)
+    assert resumed._lean
+    resumed.run(200)
+    reset_packet_ids()
+    cfg = PipelinedSwitchConfig(n=4, addresses=32, policy="dynamic:alpha=0.5")
+    ref = make_pipelined_switch(
+        cfg, SaturatingSource(4, cfg.packet_words, seed=7), kernel="batch",
+        batch_cycles=64)
+    ref.run(500)
+    assert fingerprint_doc(resumed) == fingerprint_doc(ref)
     assert fingerprint(resumed) == fingerprint(ref)

@@ -9,8 +9,7 @@ Two contracts, both bit-level:
 * **Non-trivial policies are kernel-invariant.**  StaticThreshold,
   DynamicThreshold and PortReservation must produce identical decision
   streams — stats, ``policy_drops``, ``DROP_POLICY`` events — on the
-  checked, fast and batch kernels, at every ``batch_cycles``, and on the
-  numba array core (which runs the policy as compiled integer codes).
+  checked, fast and batch kernels, at every ``batch_cycles``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 from repro.core import (
     BatchPipelinedSwitch,
     BatchRenewalSource,
-    FastPathUnsupportedError,
     FastPipelinedSwitch,
     PipelinedSwitch,
     PipelinedSwitchConfig,
@@ -65,8 +63,8 @@ def _fingerprint(sw) -> dict:
     }
 
 
-def _run(kernel, cfg_kwargs, load, seed, *, batch=None, jit=None,
-         telemetry=None, cycles=1500):
+def _run(kernel, cfg_kwargs, load, seed, *, batch=None, telemetry=None,
+         cycles=1500):
     reset_packet_ids()
     cfg = PipelinedSwitchConfig(**cfg_kwargs)
     src = _source(cfg, load, seed)
@@ -74,8 +72,6 @@ def _run(kernel, cfg_kwargs, load, seed, *, batch=None, jit=None,
         kwargs = {}
         if batch is not None:
             kwargs["batch_cycles"] = batch
-        if jit is not None:
-            kwargs["jit"] = jit
         sw = BatchPipelinedSwitch(cfg, src, telemetry=telemetry, **kwargs)
     else:
         sw = kernel(cfg, src, telemetry=telemetry)
@@ -99,17 +95,18 @@ class TestKernelInvariance:
     def test_policy_bit_identical_across_kernels(self, policy, cfg_kwargs,
                                                  load, seed):
         kwargs = {**cfg_kwargs, "policy": policy}
-        fp = _fingerprint(_run(PipelinedSwitch, kwargs, load, seed))
-        fast_fp = _fingerprint(_run(FastPipelinedSwitch, kwargs, load, seed))
-        assert fast_fp == fp, f"fast diverged under {policy}"
+        checked = _run(PipelinedSwitch, kwargs, load, seed)
+        fp = _fingerprint(checked)
+        fast = _run(FastPipelinedSwitch, kwargs, load, seed)
+        assert _fingerprint(fast) == fp, f"fast diverged under {policy}"
+        runs = [checked, fast]
         for batch in BATCH_SIZES:
-            got = _fingerprint(_run(BatchPipelinedSwitch, kwargs, load, seed,
-                                    batch=batch))
-            assert got == fp, f"batch={batch} diverged under {policy}"
-        # the array core runs the policy as compiled integer codes
-        got = _fingerprint(_run(BatchPipelinedSwitch, kwargs, load, seed,
-                                batch=64, jit=True))
-        assert got == fp, f"array core diverged under {policy}"
+            sw = _run(BatchPipelinedSwitch, kwargs, load, seed, batch=batch)
+            assert _fingerprint(sw) == fp, f"batch={batch} diverged under {policy}"
+            runs.append(sw)
+        for sw in runs:
+            # drop causes count over the same window as `dropped` (warmup 200)
+            assert sw.overrun_drops + sw.policy_drops == sw.stats.dropped
 
     def test_non_trivial_policies_actually_refuse(self):
         """Guard: the droppy shape exercises every policy's refusal path,
@@ -117,6 +114,24 @@ class TestKernelInvariance:
         for policy in POLICIES[1:]:
             sw = _run(PipelinedSwitch, {**DROPPY, "policy": policy}, 1.0, 3)
             assert sw.policy_drops > 0, f"{policy} never refused"
+
+    def test_third_party_policy_runs_on_batch(self):
+        """A policy defining only ``spec`` and ``admit`` needs nothing
+        else from the batch kernel: both engines call ``admit``."""
+        class Opaque(AdmissionPolicy):
+            @property
+            def spec(self):
+                return "opaque"
+
+            def admit(self, dst, free, held, quanta):
+                return dst != 0
+
+        cfg = PipelinedSwitchConfig(n=4, addresses=16, policy=Opaque())
+        reset_packet_ids()
+        sw = BatchPipelinedSwitch(cfg, _source(cfg, 1.0, 3))
+        assert sw._lean
+        sw.run(200)
+        assert sw.policy_drops > 0
 
     def test_complete_sharing_is_the_seed(self):
         seed_fp = _fingerprint(_run(PipelinedSwitch, RENEWAL, 0.8, 1))
@@ -153,25 +168,6 @@ class TestPolicyTelemetry:
 
 
 class TestRefusals:
-    def test_array_core_refuses_uncompilable_policy(self):
-        class Opaque(AdmissionPolicy):
-            @property
-            def spec(self):
-                return "opaque"
-
-            def admit(self, dst, free, held, quanta):
-                return True
-
-        cfg = PipelinedSwitchConfig(n=4, addresses=16, policy=Opaque())
-        src = _source(cfg, 1.0, 3)
-        with pytest.raises(FastPathUnsupportedError, match="does not compile"):
-            BatchPipelinedSwitch(cfg, src, jit=True)
-        # without --jit the scalar engines run it fine (jit=False pins the
-        # choice even when the suite runs under REPRO_JIT=1)
-        reset_packet_ids()
-        sw = BatchPipelinedSwitch(cfg, _source(cfg, 1.0, 3), jit=False)
-        sw.run(200)
-
     def test_credit_flow_conflicts_with_dropping_policy(self):
         with pytest.raises(ConfigError, match="credit_flow"):
             PipelinedSwitchConfig(n=4, addresses=16, credit_flow=True,

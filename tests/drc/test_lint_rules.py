@@ -395,8 +395,7 @@ def test_rule_catalog_codes_are_stable():
     assert codes == ["DRC101", "DRC102", "DRC103", "DRC104",
                      "DRC111", "DRC112", "DRC121", "DRC122", "DRC131",
                      "DRC141", "DRC142", "DRC143",
-                     "DRC151", "DRC152", "DRC153",
-                     "DRC161", "DRC162"]
+                     "DRC151", "DRC152", "DRC153"]
     assert all(rule.name and rule.summary for rule in rule_catalog())
 
 

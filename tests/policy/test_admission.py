@@ -11,18 +11,11 @@ import pytest
 from repro.core.errors import ConfigError
 from repro.policy import (
     POLICIES,
-    AdmissionPolicy,
     CompleteSharing,
     DynamicThreshold,
     PortReservation,
     StaticThreshold,
     parse_policy,
-)
-from repro.policy.admission import (
-    K_COMPLETE,
-    K_DYNAMIC,
-    K_RESERVATION,
-    K_STATIC,
 )
 
 
@@ -136,25 +129,6 @@ class TestAdmitMath:
             DynamicThreshold(alpha=0.0)
         with pytest.raises(ConfigError, match=">= 1 packet"):
             PortReservation(reserve=0)
-
-
-class TestKernelCodes:
-    def test_every_builtin_compiles(self):
-        assert CompleteSharing().kernel_code() == (K_COMPLETE, 0, 0)
-        assert StaticThreshold(8).kernel_code() == (K_STATIC, 8, 0)
-        assert DynamicThreshold(0.75).kernel_code() == (K_DYNAMIC, 3, 4)
-        assert PortReservation(2).kernel_code() == (K_RESERVATION, 2, 0)
-
-    def test_base_class_does_not_compile(self):
-        class Opaque(AdmissionPolicy):
-            @property
-            def spec(self):
-                return "opaque"
-
-            def admit(self, dst, free, held, quanta):
-                return True
-
-        assert Opaque().kernel_code() is None
 
 
 class TestRegistryAndState:

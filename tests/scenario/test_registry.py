@@ -82,6 +82,10 @@ class TestValidation:
         sc = scenario_for("pipelined", params={"n": 4, "quantaa": 2})
         with pytest.raises(ScenarioError, match="did you mean 'quanta'"):
             validate_scenario(sc)
+        # the batch kernel takes no `jit` parameter
+        sc = scenario_for("pipelined_batch", params={"n": 4, "jit": True})
+        with pytest.raises(ScenarioError, match="unknown parameter 'jit'"):
+            validate_scenario(sc)
 
     def test_traffic_kind_checked_per_family(self):
         sc = scenario_for("pipelined", traffic={"kind": "uniform", "load": 0.5})
