@@ -67,6 +67,7 @@ from repro.sim.packet import Packet, Word, packet_id_state, set_packet_id_state
 from repro.sim.stats import Counter, Histogram, SwitchStats
 from repro.telemetry import (
     CounterMetric,
+    Event,
     GaugeMetric,
     HistogramMetric,
     Telemetry,
@@ -421,9 +422,12 @@ def _telemetry_from(doc: dict | None) -> Telemetry | None:
         )
     tel = Telemetry.on(doc["sample_interval"], events=events, series=series)
     tel.samples = [(int(c), int(occ)) for c, occ in doc["samples"]]
-    emit = tel.events.emit
-    for cycle, kind, uid, src, dst, cause, aux in doc["events"]:
-        emit(cycle, kind, uid, src=src, dst=dst, cause=cause, aux=aux)
+    # The stored events are already the log's contents (for a sampled log,
+    # the sampled set): append them as they are, not through emit().
+    tel.events.events.extend(
+        Event(cycle, kind, uid, src, dst, cause, aux)
+        for cycle, kind, uid, src, dst, cause, aux in doc["events"]
+    )
     registry = tel.metrics
     for name, labels, mtype, state in doc["metrics"]:
         lab = {k: v for k, v in labels}

@@ -1327,8 +1327,19 @@ class BatchPipelinedSwitch(SwitchTelemetryMixin):
             sample_tax = dict(self._drop_tax)
             for t, uid, src, dst, cause, _arr in self._drop_log:
                 self._emit_drop(t, src, uid, dst, _DROP_CAUSE[cause])
+            # The wave events in admission order; the wave and bank counters
+            # once per window (what _emit_wave adds per wave, summed).
+            waves = [0, 0, 0]
             for t0, kind, uid, src, dst, _arr in self._wave_log:
-                self._emit_wave(t0, _WAVE_KIND[kind], uid, src, dst)
+                emit(t0, _WAVE_KIND[kind], uid, src=src, dst=dst)
+                waves[kind] += 1
+            for kind, count in enumerate(waves):
+                if count:
+                    self._m_waves[_WAVE_KIND[kind]].inc(count)
+            if self._wave_log:
+                accesses = self.config.quanta * len(self._wave_log)
+                for bank in self._m_bank:
+                    bank.inc(accesses)
             idle_now = self.idle_cycles
             if idle_now > self._idle_flushed:
                 self._m_idle.inc(idle_now - self._idle_flushed)

@@ -18,6 +18,7 @@ Subclasses implement :meth:`_admit` (buffer or drop one arriving cell) and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from repro.telemetry import (
     DROP,
     DROP_BUFFER_FULL,
     NULL_TELEMETRY,
+    CounterMetric,
     Telemetry,
 )
 from repro.traffic.base import TrafficSource
@@ -79,6 +81,9 @@ class SlottedSwitch(ABC):
         ]
         self._m_occupancy = m.gauge("repro_buffer_occupancy")
         self._m_delay = m.histogram("repro_slot_delay_slots")
+        # Other-cause drop counters, created on a port's first such drop so
+        # a run without one exposes no zero-valued series.
+        self._m_late_drops: dict[tuple[int, str], CounterMetric] = {}
 
     def attach_sanitizer(self, sanitizer: Sanitizer | None) -> None:
         """Point the invariant hooks at ``sanitizer`` (null-object when off).
@@ -123,11 +128,18 @@ class SlottedSwitch(ABC):
                 cause=cause,
             )
             if cause == DROP_BUFFER_FULL:
-                self._m_drops[cell.src].inc()
+                counter = self._m_drops[cell.src]
             else:
-                self.telemetry.metrics.counter(
-                    "repro_port_drops_total", port=cell.src, cause=cause
-                ).inc()
+                key = (cell.src, cause)
+                counter = self._m_late_drops.get(key)
+                if counter is None:
+                    counter = self._m_late_drops[key] = (
+                        self.telemetry.metrics.counter(
+                            "repro_port_drops_total", port=cell.src,
+                            cause=cause,
+                        )
+                    )
+            counter.inc()
 
     # -- driver ---------------------------------------------------------------
     def step(
@@ -222,9 +234,9 @@ class SlottedSwitch(ABC):
                 f"source is {source.n_in}x{source.n_out}, "
                 f"switch is {self.n_in}x{self.n_out}"
             )
-        for _ in range(slots):
-            self.step(source.arrivals(self.slot))
-        return self.stats
+        arrivals = source.arrivals
+        start = self.slot
+        return self._drive(arrivals(s) for s in range(start, start + slots))
 
     def run_matrix(self, arrivals: np.ndarray) -> SwitchStats:
         """Drive this switch with a precomputed arrival matrix.
@@ -240,9 +252,22 @@ class SlottedSwitch(ABC):
                 f"arrival matrix must be (slots, {self.n_in}), "
                 f"got shape {arrivals.shape}"
             )
+        # nested python ints: fast iteration
+        return self._drive([d if d >= 0 else None for d in row]
+                           for row in arrivals.tolist())
+
+    def _drive(self, rows: Iterable[list[int | None]]) -> SwitchStats:
+        """Run one :meth:`step` per row of arrival destinations.
+
+        The shared horizon of :meth:`run` and :meth:`run_matrix`; rows are
+        drawn lazily, one per slot, so a source sees the slot it is asked
+        for after the previous slot has been switched.  Architectures may
+        override it with a whole-horizon loop that reproduces the
+        per-slot path exactly.
+        """
         step = self.step
-        for row in arrivals.tolist():  # nested python ints: fast iteration
-            step([d if d >= 0 else None for d in row])
+        for dests in rows:
+            step(dests)
         return self.stats
 
     def run_fast(self, source: TrafficSource, slots: int, chunk: int = 8192) -> SwitchStats:

@@ -14,7 +14,9 @@ the pipeline latency) is checked by ``tests/integration``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from repro.core.errors import ConfigError
 from repro.policy import AdmissionPolicy, parse_policy
 from repro.sim.packet import Cell
 from repro.sim.rng import make_rng
+from repro.sim.stats import SwitchStats
 from repro.switches.base import SlottedSwitch
 from repro.telemetry import DROP_POLICY
 
@@ -67,6 +70,9 @@ class SharedBuffer(SlottedSwitch):
         self._policy_trivial = self.policy.trivial
         self.policy_drops = 0  # after warmup, like stats.dropped
         self.queues: list[deque[Cell]] = [deque() for _ in range(n_out)]
+        # len(q) per output, kept in step with every append/popleft: the
+        # ``held`` view admission policies read, without a per-cell rebuild.
+        self._depth = [0] * n_out
         self._total = 0
         self.rng = make_rng(seed)
         self._pending: list[Cell] = []
@@ -76,6 +82,7 @@ class SharedBuffer(SlottedSwitch):
         return True  # provisional; adjusted in _select_departures
 
     def _select_departures(self) -> list[Cell | None]:
+        depth = self._depth
         if self._pending:
             order = self.rng.permutation(len(self._pending))
             for k in order:
@@ -83,22 +90,21 @@ class SharedBuffer(SlottedSwitch):
                 if self.capacity is not None and self._total >= self.capacity:
                     self._record_late_drop(cell)
                 elif not self._policy_trivial and not self.policy.admit(
-                    cell.dst,
-                    self.capacity - self._total,
-                    [len(q) for q in self.queues],
-                    1,
+                    cell.dst, self.capacity - self._total, depth, 1,
                 ):
                     if cell.arrival_slot >= self.stats.warmup:
                         self.policy_drops += 1
                     self._record_late_drop(cell, cause=DROP_POLICY)
                 else:
                     self.queues[cell.dst].append(cell)
+                    depth[cell.dst] += 1
                     self._total += 1
             self._pending = []
         departures: list[Cell | None] = []
-        for q in self.queues:
+        for j, q in enumerate(self.queues):
             if q:
                 departures.append(q.popleft())
+                depth[j] -= 1
                 self._total -= 1
             else:
                 departures.append(None)
@@ -106,3 +112,121 @@ class SharedBuffer(SlottedSwitch):
 
     def occupancy(self) -> int:
         return self._total
+
+    # -- whole-horizon loop ----------------------------------------------------
+    def _drive(self, rows: Iterable[list[int | None]]) -> SwitchStats:
+        """Switch a whole horizon in one loop when no per-slot hook listens.
+
+        With telemetry, the sanitizer and occupancy sampling all off (every
+        sweep cell and paper bench), nothing observes a slot in flight, so
+        the loop below keeps the switch state in locals and folds the
+        per-cell statistics into :attr:`stats` once, at the end.  It is the
+        :meth:`step` path — arrivals, ``_admit`` and ``_select_departures``
+        — with the calls inlined: the same ``rng.permutation`` draws in the
+        same order, the same :class:`Cell` uids in the queues, and the
+        Welford and histogram recurrences applied departure by departure in
+        output order, so every statistic comes out bit-identical.  Any hook
+        that does listen (or cells left pending by a failed :meth:`step`)
+        selects the per-slot path, which stays the reference.
+        """
+        if self._tel or self._san or self.sample_occupancy or self._pending:
+            return super()._drive(rows)
+        n_in, n_out = self.n_in, self.n_out
+        stats = self.stats
+        warmup = stats.warmup
+        queues = self.queues
+        depth = self._depth
+        capacity = self.capacity if self.capacity is not None else math.inf
+        admit = None if self._policy_trivial else self.policy.admit
+        permutation = self.rng.permutation
+        per_out = stats.per_output_delivered
+        delay = stats.delay
+        dl_n, dl_mean, dl_m2 = delay.count, delay._mean, delay._m2
+        dl_min, dl_max = delay.minimum, delay.maximum
+        hist = stats.delay_hist.counts
+        hist_get = hist.get
+        hist_n = stats.delay_hist.total
+        offered = accepted = dropped = delivered = refused = 0
+        total = self._total
+        start = slot = self.slot
+        try:
+            for dests in rows:
+                if len(dests) != n_in:
+                    raise ValueError(
+                        f"expected {n_in} arrival entries, got {len(dests)}"
+                    )
+                arrived: list[Cell] = []
+                for src, dst in enumerate(dests):
+                    if dst is None:
+                        continue
+                    if not 0 <= dst < n_out:
+                        # Leave the slot as a failed step() would: the cells
+                        # before the bad entry offered, accepted, pending.
+                        self._pending = arrived
+                        if slot >= warmup:
+                            offered += len(arrived)
+                            accepted += len(arrived)
+                        raise ValueError(
+                            f"destination {dst} out of range (n_out={n_out})"
+                        )
+                    arrived.append(Cell(src, dst, slot))
+                if arrived:
+                    lost = refused_now = 0
+                    for k in permutation(len(arrived)).tolist():
+                        cell = arrived[k]
+                        dst = cell.dst
+                        if total >= capacity:
+                            lost += 1
+                        elif admit is not None and not admit(
+                            dst, capacity - total, depth, 1
+                        ):
+                            lost += 1
+                            refused_now += 1
+                        else:
+                            queues[dst].append(cell)
+                            depth[dst] += 1
+                            total += 1
+                    if slot >= warmup:
+                        offered += len(arrived)
+                        accepted += len(arrived) - lost
+                        dropped += lost
+                        refused += refused_now
+                if total:
+                    for j in range(n_out):
+                        if not depth[j]:
+                            continue
+                        cell = queues[j].popleft()
+                        depth[j] -= 1
+                        total -= 1
+                        cell.depart_slot = slot
+                        if slot >= warmup:
+                            delivered += 1
+                            per_out[j] += 1
+                        arrival = cell.arrival_slot
+                        if arrival >= warmup:
+                            d = slot - arrival
+                            dl_n += 1
+                            delta = d - dl_mean
+                            dl_mean += delta / dl_n
+                            dl_m2 += delta * (d - dl_mean)
+                            if d < dl_min:
+                                dl_min = d
+                            if d > dl_max:
+                                dl_max = d
+                            hist[d] = hist_get(d, 0) + 1
+                            hist_n += 1
+                slot += 1
+        finally:
+            self._total = total
+            self.slot = slot
+            if slot != start:
+                stats.horizon = slot
+            stats.offered += offered
+            stats.accepted += accepted
+            stats.dropped += dropped
+            stats.delivered += delivered
+            self.policy_drops += refused
+            delay.count, delay._mean, delay._m2 = dl_n, dl_mean, dl_m2
+            delay.minimum, delay.maximum = dl_min, dl_max
+            stats.delay_hist.total = hist_n
+        return stats

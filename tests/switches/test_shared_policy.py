@@ -47,6 +47,10 @@ class TestSharedBufferPolicy:
         assert sw.policy_drops > 0
         taxonomy = tel.events.drop_taxonomy()
         assert taxonomy.get(DROP_POLICY, 0) == sw.policy_drops
+        counted = sum(m.value for m in tel.metrics
+                      if m.name == "repro_port_drops_total"
+                      and dict(m.labels).get("cause") == DROP_POLICY)
+        assert counted == sw.policy_drops
 
     def test_refusal_is_not_a_capacity_drop(self):
         """With an ample pool every drop is a deliberate policy refusal —
