@@ -704,16 +704,9 @@ def _add_lint(sub: argparse._SubParsersAction) -> None:
                    help="analyze files over N worker processes (findings "
                         "are identical at any value; default %(default)s)")
     p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the incremental cache")
+                   help="ignore and do not write the whole-result cache")
     p.add_argument("--cache-dir", metavar="DIR", default=".drc-cache",
-                   help="incremental cache location (default %(default)s)")
-    p.add_argument("--diff", metavar="REV", default=None,
-                   help="baseline mode: lint the tree at git revision REV "
-                        "with the current rules and report only findings "
-                        "beyond that baseline")
-    p.add_argument("--fix", action="store_true",
-                   help="apply available autofixes (DRC104 sorted() wrap, "
-                        "DRC101 wall-clock imports) before reporting")
+                   help="whole-result cache location (default %(default)s)")
     p.add_argument("--stats", action="store_true",
                    help="print engine statistics as one JSON line on stderr")
     p.set_defaults(func=cmd_lint)
@@ -725,8 +718,6 @@ def cmd_lint(args) -> int:
     from pathlib import Path as _Path
 
     from repro.drc import FORMATTERS, rule_catalog, run_lint
-    from repro.drc.baseline import baseline_result, new_findings
-    from repro.drc.fixes import apply_fixes
 
     if args.rules:
         print(format_table(
@@ -736,23 +727,9 @@ def cmd_lint(args) -> int:
         ))
         return 0
     root = _Path.cwd()
-    if args.fix:
-        fixed = apply_fixes(args.paths, root=root)
-        for rel in sorted(fixed):
-            print(f"fixed {rel}: {fixed[rel]} edit{'s' if fixed[rel] != 1 else ''}")
     cache_dir = None if args.no_cache else root / args.cache_dir
     result = run_lint(args.paths, root=root, jobs=max(1, args.jobs),
                       cache_dir=cache_dir)
-    exit_code = result.exit_code
-    if args.diff is not None:
-        base = baseline_result(args.diff, root, [str(p) for p in args.paths])
-        fresh = new_findings(result, base)
-        n_base = len(result.all_findings()) - len(fresh)
-        result.violations = fresh
-        result.parse_errors = []
-        exit_code = 1 if fresh else 0
-        print(f"baseline {args.diff}: {n_base} pre-existing finding"
-              f"{'s' if n_base != 1 else ''} accepted", file=_sys.stderr)
     report = FORMATTERS[args.format](result)
     if args.stats:
         print(_json.dumps(result.stats, sort_keys=True), file=_sys.stderr)
@@ -763,7 +740,7 @@ def cmd_lint(args) -> int:
         print(f"{n} violation{'s' if n != 1 else ''} -> {args.output}")
     else:
         print(report)
-    return exit_code
+    return result.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

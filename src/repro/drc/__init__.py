@@ -13,10 +13,8 @@ See ``ARCHITECTURE.md`` §13 for the full rule catalog and the mapping of
 sanitizer invariants to paper sections.
 """
 
-from repro.drc.baseline import baseline_result, new_findings
 from repro.drc.cache import ENGINE_VERSION, rules_fingerprint
 from repro.drc.dataflow import DataflowEngine, ParamEffects
-from repro.drc.fixes import FIXABLE_CODES, apply_fixes, fix_source
 from repro.drc.graph import ProjectGraph, module_qname
 from repro.drc.linter import (
     FORMATTERS,
@@ -56,7 +54,6 @@ __all__ = [
     "DOUBLE_INITIATION",
     "DataflowEngine",
     "ENGINE_VERSION",
-    "FIXABLE_CODES",
     "FORMATTERS",
     "INVARIANTS",
     "LintModule",
@@ -72,15 +69,11 @@ __all__ = [
     "Sanitizer",
     "SanitizerError",
     "Violation",
-    "apply_fixes",
-    "baseline_result",
     "discover_files",
-    "fix_source",
     "format_json",
     "format_sarif",
     "format_text",
     "module_qname",
-    "new_findings",
     "parse_suppressions",
     "rule_catalog",
     "rules_fingerprint",

@@ -9,15 +9,14 @@ line, and returns the surviving violations sorted by path/line.
 
 Engine v2 additions:
 
-* **Incremental cache** (``cache_dir=``): content-addressed per-file and
-  whole-project entries — see :mod:`repro.drc.cache`.  A warm run over
+* **Whole-result cache** (``cache_dir=``): one content-addressed entry
+  holding the whole result — see :mod:`repro.drc.cache`.  A re-run over
   unchanged content reconstructs the result without parsing anything
-  (``files_analyzed == 0``); a partial run re-analyzes only changed
-  files plus their reverse-import closure.  Output is bit-identical to
-  a cold run in every case.
-* **Parallel analysis** (``jobs=``): per-file parsing, hashing, and
-  module-rule checking fan out over a process pool; results merge in
-  input order, so findings are identical at any job count.
+  (``files_analyzed == 0``); any content change is a cold run.  Output
+  is bit-identical to a cold run in every case.
+* **Parallel analysis** (``jobs=``): module-rule checking fans out over
+  forked children; results merge in input order, so findings are
+  identical at any job count.
 * ``.drc-skip`` **sentinel**: a directory containing this file is
   pruned from recursive discovery (the seeded-defect corpus under
   ``tests/drc/corpus/`` lints deliberately-broken fixtures; the repo
@@ -38,7 +37,6 @@ Output formats: ``text`` (one ``path:line:col: CODE message`` per line),
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 import pickle
@@ -50,16 +48,12 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.drc.cache import (
-    FileEntry,
     LintCache,
     aggregate_sha,
-    dirty_set,
     file_sha,
     load_cache,
-    rules_fingerprint,
     save_cache,
 )
-from repro.drc.graph import imports_in, module_qname
 from repro.drc.rules import LintModule, Project, Violation, rule_catalog
 
 # Imported for their @register side effects: these modules contribute the
@@ -160,7 +154,7 @@ class LintResult:
 
 @dataclass
 class _FileRecord:
-    """One file's worth of worker output (picklable)."""
+    """One file's worth of analysis output."""
 
     relpath: str
     sha: str
@@ -169,21 +163,18 @@ class _FileRecord:
     findings: list[Violation] = field(default_factory=list)
     suppressed: int = 0
     parse_error: Violation | None = None
-    imports: list[str] = field(default_factory=list)
-    analyzed: bool = False
 
 
-def _analyze_file(args: tuple[str, str, bool]) -> _FileRecord:
-    """Worker: hash, parse, and (when ``run_rules``) run module-scope
-    rules plus suppression filtering for one file."""
-    path_str, rel, run_rules = args
+def _analyze_file(path_str: str, rel: str,
+                  run_rules: bool = True) -> _FileRecord:
+    """Hash, parse, and (when ``run_rules``) run module-scope rules plus
+    suppression filtering for one file."""
     path = Path(path_str)
     try:
         data = path.read_bytes()
     except OSError as exc:
         return _FileRecord(rel, "", parse_error=Violation(
-            "DRC001", rel, 1, 1, f"file could not be read: {exc}"),
-            analyzed=run_rules)
+            "DRC001", rel, 1, 1, f"file could not be read: {exc}"))
     sha = file_sha(data)
     try:
         source = data.decode("utf-8")
@@ -191,18 +182,10 @@ def _analyze_file(args: tuple[str, str, bool]) -> _FileRecord:
     except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
         line = getattr(exc, "lineno", 1) or 1
         return _FileRecord(rel, sha, parse_error=Violation(
-            "DRC001", rel, line, 1, f"file could not be parsed: {exc}"),
-            analyzed=run_rules)
+            "DRC001", rel, line, 1, f"file could not be parsed: {exc}"))
     record = _FileRecord(rel, sha, mod=mod,
-                         suppressions=parse_suppressions(source),
-                         analyzed=run_rules)
-    env = imports_in(
-        [s for s in ast.walk(mod.tree) if isinstance(s, ast.stmt)],
-        module_qname(rel), rel.endswith("__init__.py"),
-    )
-    record.imports = sorted(set(env.values()))
+                         suppressions=parse_suppressions(source))
     if run_rules:
-        kept: list[Violation] = []
         for rule in rule_catalog():
             if rule.scope != "module":
                 continue
@@ -210,8 +193,7 @@ def _analyze_file(args: tuple[str, str, bool]) -> _FileRecord:
                 if _suppressed(v, record.suppressions):
                     record.suppressed += 1
                 else:
-                    kept.append(v)
-        record.findings = kept
+                    record.findings.append(v)
     return record
 
 
@@ -223,14 +205,14 @@ def _rules_worker(args: tuple[str, str]) -> tuple[str, list[Violation], int]:
     re-parsing the source, so the parent parses its own copy while the
     workers run the rules.
     """
-    record = _analyze_file((args[0], args[1], True))
+    record = _analyze_file(*args)
     return record.relpath, record.findings, record.suppressed
 
 
-def _fork_rules(dirty_work: list[tuple[str, str]],
+def _fork_rules(work: list[tuple[str, str]],
                 jobs: int) -> list[tuple[int, str]] | None:
     """Fork ``jobs`` children, each running module rules over a strided
-    slice of ``dirty_work`` and pickling results to a temp file.
+    slice of ``work`` and pickling results to a temp file.
 
     Returns (pid, result-path) pairs, or ``None`` where ``fork`` is
     unavailable.  Plain ``os.fork`` instead of a process pool on
@@ -243,7 +225,7 @@ def _fork_rules(dirty_work: list[tuple[str, str]],
         return None
     procs: list[tuple[int, str]] = []
     for i in range(jobs):
-        chunk = dirty_work[i::jobs]
+        chunk = work[i::jobs]
         if not chunk:
             continue
         fd, tmp = tempfile.mkstemp(prefix="drc-par-", suffix=".pkl")
@@ -299,60 +281,41 @@ def run_lint(paths: Iterable[str | Path], root: Path | None = None, *,
              jobs: int = 1, cache_dir: Path | None = None) -> LintResult:
     """Lint every Python file under ``paths``; see module docstring.
 
-    ``jobs`` fans per-file analysis out over a process pool (findings
-    are identical at any value).  ``cache_dir`` enables the incremental
+    ``jobs`` fans module-rule analysis out over forked children (findings
+    are identical at any value).  ``cache_dir`` enables the whole-result
     cache; ``None`` (the default) analyzes everything from scratch.
     """
     t0 = time.perf_counter()
     root = Path.cwd() if root is None else root
     files = discover_files(paths, root=root)
-    rels = [_relpath(f, root) for f in files]
+    work = [(str(f), _relpath(f, root)) for f in files]
 
-    cache: LintCache | None = None
-    shas: dict[str, str] = {}
     if cache_dir is not None:
-        cache = load_cache(cache_dir)
-        for f, rel in zip(files, rels):
+        shas: dict[str, str] = {}
+        for f, (_, rel) in zip(files, work):
             try:
                 shas[rel] = file_sha(f.read_bytes())
             except OSError:
                 shas[rel] = ""
-        agg = aggregate_sha(shas)
-        if (cache is not None
-                and set(shas) == set(cache.files)
-                and all(cache.files[rel].sha == sha
-                        for rel, sha in shas.items())
-                and cache.project_agg == agg):
+        cache = load_cache(cache_dir)
+        if cache is not None and cache.agg == aggregate_sha(shas):
             return _from_cache(cache, len(files), t0, jobs)
 
-    if cache is not None:
-        dirty = dirty_set(cache, shas)
-        mode = "partial" if len(dirty) < len(files) else "cold"
-    else:
-        dirty = set(rels)
-        mode = "cold" if cache_dir is not None else "off"
-
-    work = [(str(f), rel, rel in dirty) for f, rel in zip(files, rels)]
-    dirty_work = [(p, rel) for p, rel, d in work if d]
-    procs = (_fork_rules(dirty_work, jobs)
-             if jobs > 1 and len(dirty_work) > 1 else None)
+    procs = _fork_rules(work, jobs) if jobs > 1 and len(work) > 1 else None
     if procs is not None:
-        # children run module rules on dirty files; the parent parses
-        # every tree (project rules need them all) in the same wall time
-        records = [_analyze_file((p, rel, False)) for p, rel, _ in work]
+        # children run module rules; the parent parses every tree
+        # (project rules need them all) in the same wall time
+        records = [_analyze_file(p, rel, run_rules=False) for p, rel in work]
         rule_out = _collect_fork_rules(procs)
-        by_rel = {r.relpath: r for r in records}
-        for p, rel in dirty_work:
-            record = by_rel[rel]
+        for (p, rel), record in zip(work, records):
             if rule_out is not None and rel in rule_out:
                 record.findings, record.suppressed = rule_out[rel]
             else:  # a child died: redo this file in-process
-                redone = _analyze_file((p, rel, True))
+                redone = _analyze_file(p, rel)
                 record.findings = redone.findings
                 record.suppressed = redone.suppressed
-            record.analyzed = True
     else:
-        records = [_analyze_file(args) for args in work]
+        records = [_analyze_file(p, rel) for p, rel in work]
     t_files = time.perf_counter()
 
     parse_errors: list[Violation] = []
@@ -364,81 +327,49 @@ def run_lint(paths: Iterable[str | Path], root: Path | None = None, *,
         suppressions[record.relpath] = record.suppressions
         if record.mod is not None:
             mods.append(record.mod)
-        cached_entry = (cache.files.get(record.relpath)
-                        if cache is not None else None)
-        if not record.analyzed and cached_entry is not None:
-            record.findings = list(cached_entry.findings)
-            record.suppressed = cached_entry.suppressed
-            if record.mod is None and cached_entry.parse_error is not None:
-                record.parse_error = cached_entry.parse_error
         if record.parse_error is not None:
             parse_errors.append(record.parse_error)
         kept.extend(record.findings)
         n_suppressed += record.suppressed
 
     project = Project(mods)
-    project_kept: list[Violation] = []
-    project_suppressed = 0
     for rule in rule_catalog():
         if rule.scope != "project":
             continue
         for v in rule.check_project(project):
             if _suppressed(v, suppressions.get(v.path, {})):
-                project_suppressed += 1
+                n_suppressed += 1
             else:
-                project_kept.append(v)
+                kept.append(v)
     t_project = time.perf_counter()
 
-    if cache_dir is not None:
-        new_cache = LintCache(fingerprint=rules_fingerprint())
-        for record in records:
-            new_cache.files[record.relpath] = FileEntry(
-                sha=record.sha or shas.get(record.relpath, ""),
-                findings=list(record.findings),
-                suppressed=record.suppressed,
-                parse_error=record.parse_error,
-                imports=list(record.imports),
-            )
-        new_cache.project_agg = aggregate_sha(
-            {rel: e.sha for rel, e in new_cache.files.items()})
-        new_cache.project_findings = list(project_kept)
-        new_cache.project_suppressed = project_suppressed
-        save_cache(cache_dir, new_cache)
-
-    violations = sorted(kept + project_kept,
-                        key=lambda v: (v.path, v.line, v.col, v.code))
+    violations = sorted(kept, key=lambda v: (v.path, v.line, v.col, v.code))
     parse_errors.sort(key=lambda v: (v.path, v.line))
-    n_analyzed = sum(1 for r in records if r.analyzed)
+    if cache_dir is not None:
+        # keyed by the bytes actually analyzed, so a file edited mid-run
+        # can only cause a miss, never serve findings for other content
+        save_cache(cache_dir, LintCache(
+            agg=aggregate_sha({r.relpath: r.sha for r in records}),
+            findings=violations, parse_errors=parse_errors,
+            suppressed=n_suppressed,
+        ))
     stats: dict[str, object] = {
-        "cache": mode,
+        "cache": "off" if cache_dir is None else "cold",
         "jobs": jobs,
         "files_checked": len(files),
-        "files_analyzed": n_analyzed,
+        "files_analyzed": len(files),
         "elapsed": round(time.perf_counter() - t0, 6),
         "elapsed_files": round(t_files - t0, 6),
         "elapsed_project": round(t_project - t_files, 6),
     }
     return LintResult(violations, files_checked=len(files),
-                      suppressed=n_suppressed + project_suppressed,
-                      parse_errors=parse_errors,
-                      files_analyzed=n_analyzed, stats=stats)
+                      suppressed=n_suppressed, parse_errors=parse_errors,
+                      stats=stats)
 
 
 def _from_cache(cache: LintCache, n_files: int, t0: float,
                 jobs: int) -> LintResult:
-    """Full cache hit: rebuild the result without parsing anything."""
-    kept: list[Violation] = []
-    parse_errors: list[Violation] = []
-    n_suppressed = cache.project_suppressed
-    for rel in sorted(cache.files):
-        entry = cache.files[rel]
-        kept.extend(entry.findings)
-        n_suppressed += entry.suppressed
-        if entry.parse_error is not None:
-            parse_errors.append(entry.parse_error)
-    violations = sorted(kept + cache.project_findings,
-                        key=lambda v: (v.path, v.line, v.col, v.code))
-    parse_errors.sort(key=lambda v: (v.path, v.line))
+    """Cache hit: rebuild the result without parsing anything."""
     elapsed = round(time.perf_counter() - t0, 6)
     stats: dict[str, object] = {
         "cache": "hit",
@@ -449,8 +380,9 @@ def _from_cache(cache: LintCache, n_files: int, t0: float,
         "elapsed_files": elapsed,
         "elapsed_project": 0.0,
     }
-    return LintResult(violations, files_checked=n_files,
-                      suppressed=n_suppressed, parse_errors=parse_errors,
+    return LintResult(cache.findings, files_checked=n_files,
+                      suppressed=cache.suppressed,
+                      parse_errors=cache.parse_errors,
                       files_analyzed=0, stats=stats)
 
 

@@ -1,8 +1,8 @@
 """Mini promtool: parse + validate the Prometheus text exposition format.
 
-Covers the 0.0.4 subset :func:`repro.telemetry.export.render_prometheus`
-emits, strictly enough to catch the classes of breakage a real scraper
-would reject:
+Covers the 0.0.4 subset :func:`repro.telemetry.export.render` emits,
+strictly enough to catch the classes of breakage a real scraper would
+reject:
 
 * label quoting and the three escapes (``\\``, ``\"``, ``\\n``);
 * ``# HELP`` / ``# TYPE`` at most once per family, before its samples,
@@ -12,21 +12,22 @@ would reject:
   bucket, cumulative counts monotone in ``le``, ``_count`` equal to the
   ``+Inf`` bucket, ``_sum`` present.
 
-:func:`parse` returns :class:`Family` objects that round-trip through
-:func:`render`, which is how the sweep aggregator merges per-worker
-registries (parse each artifact, :func:`add_labels` a cell label,
-:func:`merge`, render once) without ever concatenating raw text — the
-format forbids duplicate ``# TYPE`` lines, so naive concatenation of two
-valid exports is invalid.
+:func:`parse` returns the :class:`~repro.telemetry.export.Family` model
+that :func:`~repro.telemetry.export.render` formats (both re-exported
+here), so ``render(parse(text)) == text`` for the repo's own output.
+That is how the sweep aggregator merges per-worker registries (parse
+each artifact, :func:`add_labels` a cell label, :func:`merge`, render
+once) without ever concatenating raw text — the format forbids duplicate
+``# TYPE`` lines, so naive concatenation of two valid exports is invalid.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
-from repro.telemetry.metrics import escape_label_value, full_name
+from repro.telemetry.export import Family, Sample, render
+from repro.telemetry.metrics import full_name
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 _LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
@@ -36,35 +37,6 @@ _HIST_SUFFIXES = ("_bucket", "_sum", "_count")
 
 class PromParseError(ValueError):
     """Malformed exposition text; message carries the 1-based line number."""
-
-
-@dataclass(slots=True)
-class Sample:
-    """One sample line: name may carry a histogram suffix."""
-
-    name: str
-    labels: dict[str, str]
-    value: float
-    value_text: str  # verbatim, so +Inf/NaN and int-ness survive re-render
-
-
-@dataclass(slots=True)
-class Family:
-    """One metric family: its metadata plus samples in input order."""
-
-    name: str
-    type: str | None = None
-    help: str | None = None
-    samples: list[Sample] = field(default_factory=list)
-
-    def series(self) -> dict[tuple[str, tuple[tuple[str, str], ...]], list[Sample]]:
-        """Samples grouped by (sample name, non-le labels)."""
-        out: dict[tuple[str, tuple[tuple[str, str], ...]], list[Sample]] = {}
-        for s in self.samples:
-            key_labels = tuple(sorted((k, v) for k, v in s.labels.items()
-                                      if k != "le"))
-            out.setdefault((s.name, key_labels), []).append(s)
-        return out
 
 
 def _family_of(sample_name: str, typed_hist: set[str]) -> str:
@@ -231,10 +203,16 @@ def parse(text: str) -> list[Family]:
         fam.samples.append(Sample(sample_name, labels, value, value_text))
 
     out = list(families.values())
-    for fam in out:
+    validate(out)
+    return out
+
+
+def validate(families: list[Family]) -> None:
+    """Check histogram structure per label set (module docstring); raise
+    :class:`PromParseError` on the first violation."""
+    for fam in families:
         if fam.type == "histogram":
             _validate_histogram(fam)
-    return out
 
 
 def _validate_histogram(fam: Family) -> None:
@@ -337,22 +315,13 @@ def merge(groups: list[list[Family]]) -> list[Family]:
     return sorted(merged.values(), key=lambda f: f.name)
 
 
-def render(families: list[Family]) -> str:
-    """Exposition text: HELP/TYPE once per family, then its samples."""
-    lines: list[str] = []
-    for fam in families:
-        if fam.help:
-            help_txt = fam.help.replace("\\", "\\\\").replace("\n", "\\n")
-            lines.append(f"# HELP {fam.name} {help_txt}")
-        if fam.type:
-            lines.append(f"# TYPE {fam.name} {fam.type}")
-        for s in fam.samples:
-            if s.labels:
-                inner = ",".join(
-                    f'{k}="{escape_label_value(v)}"'
-                    for k, v in sorted(s.labels.items())
-                )
-                lines.append(f"{s.name}{{{inner}}} {s.value_text}")
-            else:
-                lines.append(f"{s.name} {s.value_text}")
-    return "\n".join(lines) + ("\n" if lines else "")
+__all__ = [
+    "Family",
+    "PromParseError",
+    "Sample",
+    "add_labels",
+    "merge",
+    "parse",
+    "render",
+    "validate",
+]

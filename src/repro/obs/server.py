@@ -19,10 +19,12 @@ both the runner's observer (progress callbacks) and a provider:
   mid-run; pool workers' registries arrive through the per-cell
   ``.metrics.txt`` artifacts the moment each cell finishes.
 
-Reading a live registry races with the simulating thread (new metrics can
-appear mid-iteration); rendering retries a few times and falls back to
-the last good snapshot — the endpoint must never take locks the hot path
-would feel.
+Live registries are converted to families directly (no text round
+trip).  Reading one races with the simulating thread (new metrics can
+appear mid-iteration); conversion retries a few times, a cell that still
+fails or whose histograms fail validation drops out of that scrape, and
+the server falls back to the last good document — the endpoint must
+never take locks the hot path would feel.
 """
 
 from __future__ import annotations
@@ -33,20 +35,28 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs import promparse
-from repro.telemetry.export import render_prometheus
+from repro.telemetry.export import registry_families
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_RENDER_RETRIES = 5
+_CONVERT_RETRIES = 5
+
+#: sweep progress gauges: name suffix -> help text
+_PROGRESS_HELP = {
+    "total": "Jobs (scenario, seed cells) in this sweep.",
+    "done": "Cells finished, including cells reloaded by --resume.",
+    "resumed": "Cells reloaded from a previous interrupted sweep.",
+    "inflight": "Cells currently executing in-process with a live registry.",
+}
 
 
-def _render_registry(registry: Any) -> str:
-    """Render a possibly-live registry, retrying on mutation races."""
-    for attempt in range(_RENDER_RETRIES):
+def _live_families(registry: Any) -> list[promparse.Family]:
+    """Convert a possibly-live registry, retrying on mutation races."""
+    for attempt in range(_CONVERT_RETRIES):
         try:
-            return render_prometheus(registry)
+            return registry_families(registry)
         except RuntimeError:  # dict changed size during iteration
-            if attempt == _RENDER_RETRIES - 1:
+            if attempt == _CONVERT_RETRIES - 1:
                 raise
     raise AssertionError("unreachable")
 
@@ -194,30 +204,20 @@ class SweepMetricsObserver:
         with self._lock:
             live = dict(self._live)
             cell_groups = [list(fams) for fams in self._cells.values()]
-            total, done, resumed = self._total, self._done, self._resumed
-            inflight = len(live)
-        lines = [
-            "# HELP repro_sweep_cells_total Jobs (scenario, seed cells) in "
-            "this sweep.",
-            "# TYPE repro_sweep_cells_total gauge",
-            f"repro_sweep_cells_total {total}",
-            "# HELP repro_sweep_cells_done Cells finished, including cells "
-            "reloaded by --resume.",
-            "# TYPE repro_sweep_cells_done gauge",
-            f"repro_sweep_cells_done {done}",
-            "# HELP repro_sweep_cells_resumed Cells reloaded from a previous "
-            "interrupted sweep.",
-            "# TYPE repro_sweep_cells_resumed gauge",
-            f"repro_sweep_cells_resumed {resumed}",
-            "# HELP repro_sweep_cells_inflight Cells currently executing "
-            "in-process with a live registry.",
-            "# TYPE repro_sweep_cells_inflight gauge",
-            f"repro_sweep_cells_inflight {inflight}",
-        ]
-        groups = [promparse.parse("\n".join(lines) + "\n")]
+            counts = {"total": self._total, "done": self._done,
+                      "resumed": self._resumed, "inflight": len(live)}
+        groups = [[
+            promparse.Family(f"repro_sweep_cells_{key}", "gauge", help_text, [
+                promparse.Sample(f"repro_sweep_cells_{key}", {},
+                                 counts[key], str(counts[key]))])
+            for key, help_text in _PROGRESS_HELP.items()
+        ]]
         for cell, telemetry in sorted(live.items()):
             try:
-                families = promparse.parse(_render_registry(telemetry.metrics))
+                families = _live_families(telemetry.metrics)
+                # a histogram caught mid-update drops this cell from
+                # this scrape only
+                promparse.validate(families)
             except (RuntimeError, promparse.PromParseError):
                 continue
             groups.append(promparse.add_labels(families, cell=cell))

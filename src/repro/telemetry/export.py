@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.telemetry.events import (
@@ -61,44 +62,96 @@ def write_events_jsonl(log: EventLog, path) -> None:
 
 
 # -- Prometheus text metrics ------------------------------------------------
-def _escape_help(text: str) -> str:
-    # HELP lines escape backslash and newline only (quotes stay literal).
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
+@dataclass(slots=True)
+class Sample:
+    """One sample line: name may carry a histogram suffix."""
+
+    name: str
+    labels: dict[str, str]
+    value: float
+    value_text: str  # verbatim, so +Inf/NaN and int-ness survive re-render
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition format (the 0.0.4 subset we need).
+@dataclass(slots=True)
+class Family:
+    """One metric family: its metadata plus samples in input order."""
 
-    Registry iteration is sorted by (name, labels), so each metric family
-    is contiguous; ``# HELP`` (when registered via ``describe``) and
-    ``# TYPE`` are emitted exactly once, ahead of the family's samples.
+    name: str
+    type: str | None = None
+    help: str | None = None
+    samples: list[Sample] = field(default_factory=list)
+
+    def series(self) -> dict[tuple[str, tuple[tuple[str, str], ...]], list[Sample]]:
+        """Samples grouped by (sample name, non-le labels)."""
+        out: dict[tuple[str, tuple[tuple[str, str], ...]], list[Sample]] = {}
+        for s in self.samples:
+            key_labels = tuple(sorted((k, v) for k, v in s.labels.items()
+                                      if k != "le"))
+            out.setdefault((s.name, key_labels), []).append(s)
+        return out
+
+
+def registry_families(registry: MetricsRegistry) -> list[Family]:
+    """The registry as exposition families, in its (name, labels) order.
+
+    Registry iteration is sorted, so each family's metrics are adjacent.
+    Histograms expand to cumulative ``_bucket`` samples (``le`` label),
+    then ``_sum`` and ``_count``; a family is a ``counter`` when its name
+    ends in ``_total`` and a ``gauge`` otherwise.
     """
-    lines: list[str] = []
-    seen_families: set[str] = set()
+    families: list[Family] = []
     help_for = getattr(registry, "help_for", lambda name: None)
     for m in registry:
-        if m.name not in seen_families:
-            seen_families.add(m.name)
-            help_text = help_for(m.name)
-            if help_text:
-                lines.append(f"# HELP {m.name} {_escape_help(help_text)}")
-            if isinstance(m, HistogramMetric):
-                kind = "histogram"
-            else:
-                kind = "counter" if m.name.endswith("_total") else "gauge"
-            lines.append(f"# TYPE {m.name} {kind}")
-        if isinstance(m, HistogramMetric):
+        hist = isinstance(m, HistogramMetric)
+        if not families or families[-1].name != m.name:
+            kind = ("histogram" if hist
+                    else "counter" if m.name.endswith("_total") else "gauge")
+            families.append(Family(m.name, kind, help_for(m.name)))
+        samples = families[-1].samples
+        labels = dict(m.labels)
+        if hist:
             for le, cum in m.hist.cumulative():
                 le_txt = "+Inf" if math.isinf(le) else f"{le:g}"
-                labels = m.labels + (("le", le_txt),)
-                lines.append(f"{full_name(m.name + '_bucket', labels)} {cum}")
-            lines.append(f"{full_name(m.name + '_sum', m.labels)} {m.hist.sum:g}")
-            lines.append(f"{full_name(m.name + '_count', m.labels)} {m.hist.total}")
+                samples.append(Sample(m.name + "_bucket",
+                                      {**labels, "le": le_txt}, cum, str(cum)))
+            samples.append(Sample(m.name + "_sum", labels, m.hist.sum,
+                                  f"{m.hist.sum:g}"))
+            samples.append(Sample(m.name + "_count", labels, m.hist.total,
+                                  str(m.hist.total)))
         else:
             value = m.value
             txt = f"{value:g}" if isinstance(value, float) else str(value)
-            lines.append(f"{full_name(m.name, m.labels)} {txt}")
+            samples.append(Sample(m.name, labels, value, txt))
+    return families
+
+
+def _label_order(item: tuple[str, str]) -> tuple[bool, str]:
+    return item[0] == "le", item[0]
+
+
+def render(families: list[Family]) -> str:
+    """Exposition text: HELP/TYPE once per family, then its samples.
+
+    The one formatter of exposition lines.  Labels are sorted by key with
+    ``le`` last; values print verbatim from ``value_text``.
+    """
+    lines: list[str] = []
+    for fam in families:
+        if fam.help:
+            # HELP escapes backslash and newline only (quotes stay literal)
+            help_txt = fam.help.replace("\\", "\\\\").replace("\n", "\\n")
+            lines.append(f"# HELP {fam.name} {help_txt}")
+        if fam.type:
+            lines.append(f"# TYPE {fam.name} {fam.type}")
+        for s in fam.samples:
+            labels = tuple(sorted(s.labels.items(), key=_label_order))
+            lines.append(f"{full_name(s.name, labels)} {s.value_text}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def render_prometheus(registry: MetricsRegistry) -> str:
+    """Prometheus text exposition format (the 0.0.4 subset we need)."""
+    return render(registry_families(registry))
 
 
 def write_metrics_text(registry: MetricsRegistry, path) -> None:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import PipelinedSwitchConfig, SaturatingSource, make_pipelined_switch
+from repro.core.sources import BatchRenewalSource
 from repro.obs.promparse import (
     Family,
     PromParseError,
@@ -12,6 +17,10 @@ from repro.obs.promparse import (
     parse,
     render,
 )
+from repro.sim.packet import reset_packet_ids
+from repro.telemetry import Telemetry
+from repro.telemetry.export import render_prometheus
+from repro.telemetry.metrics import MetricsRegistry
 
 VALID = """\
 # HELP repro_cycle Current simulation cycle.
@@ -129,4 +138,70 @@ class TestAggregation:
     def test_value_text_verbatim_through_render(self):
         # integers must not become 4.0, +Inf must stay +Inf
         text = "m 4\nn +Inf\n"
+        assert render(parse(text)) == text
+
+
+class TestArbitraryText:
+    _TOKENS = st.sampled_from([
+        "# HELP ", "# TYPE ", "#", "m", "m_bucket", "m_sum", "m_count",
+        " histogram", " gauge", " counter", "{", "}", 'le="', "a=", '"',
+        ",", " ", "\t", "\n", "\r", "\\", "+Inf", "-Inf", "NaN", "1",
+        "2.5", "1e3", "_",
+    ])
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text() | st.lists(_TOKENS, max_size=40).map("".join))
+    def test_parse_raises_only_promparse_error(self, text):
+        try:
+            parse(text)
+        except PromParseError:
+            pass
+
+
+def _kernel_registry(kernel: str, droppy: bool) -> MetricsRegistry:
+    reset_packet_ids()
+    if droppy:
+        cfg = PipelinedSwitchConfig(n=4, addresses=8)
+        src = SaturatingSource(n_out=4, packet_words=cfg.packet_words, seed=3)
+    else:
+        cfg = PipelinedSwitchConfig(n=4, addresses=64)
+        src = BatchRenewalSource(n_out=4, packet_words=cfg.packet_words,
+                                 load=0.7, seed=1)
+    tel = Telemetry.on(sample_interval=32)
+    sw = make_pipelined_switch(cfg, src, telemetry=tel, kernel=kernel)
+    sw.run(800)
+    sw.drain()
+    return tel.metrics
+
+
+def _synthetic_registry() -> MetricsRegistry:
+    m = MetricsRegistry()
+    m.counter("weird_total", path='C:\\path\\"quoted"\nnext\\nline').inc()
+    m.counter("c_total").inc(7)
+    m.gauge("g", port=3).set(math.inf)
+    m.gauge("unset")
+    m.gauge("frac").set(0.125)
+    m.histogram("lat", port=1, zone="z").observe(5)
+    m.describe("g", "help with a \\ backslash\nand a newline")
+    return m
+
+
+class TestRenderOfParseIsIdentity:
+    """``render(parse(t)) == t`` for the repo's own exposition text."""
+
+    @pytest.mark.parametrize("kernel", ["checked", "fast", "batch"])
+    @pytest.mark.parametrize("droppy", [False, True], ids=["clean", "drops"])
+    def test_kernel_registries(self, kernel, droppy):
+        text = render_prometheus(_kernel_registry(kernel, droppy))
+        assert "repro_port_drops_total" in text or not droppy
+        assert render(parse(text)) == text
+
+    def test_synthetic_registry(self):
+        text = render_prometheus(_synthetic_registry())
+        assert render(parse(text)) == text
+
+    def test_merged_cells(self):
+        groups = [add_labels(parse(render_prometheus(_kernel_registry(k, True))),
+                             cell=k) for k in ("checked", "batch")]
+        text = render(merge(groups))
         assert render(parse(text)) == text
