@@ -32,7 +32,7 @@ from repro.drc.rules import Violation, rule_catalog
 #: bump when the engine's analysis semantics change in a way individual
 #: rule versions do not capture (dataflow, graph resolution, suppression
 #: grammar, cache schema).
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4  # 4: deep nesting is a DRC001 finding
 
 _CACHE_NAME = "cache.json"
 

@@ -132,12 +132,13 @@ class _CheckpointAnalysis:
         if not params:
             return {}
         param = params[0]
+        nodes = fn.module.walk(fn.node)
         local_env = imports_in(
-            [s for s in ast.walk(fn.node) if isinstance(s, ast.stmt)],
+            [s for s in nodes if isinstance(s, ast.stmt)],
             module_qname(fn.module.relpath), False,
         )
         out: dict[str, str] = {}
-        for node in ast.walk(fn.node):
+        for node in nodes:
             if not isinstance(node, ast.If):
                 continue
             test = node.test
@@ -173,7 +174,7 @@ class _CheckpointAnalysis:
 
         def codec_in(stmts: list[ast.stmt]) -> FunctionInfo | None:
             for stmt in stmts:
-                for node in ast.walk(stmt):
+                for node in fn.module.walk(stmt):
                     if (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Name)):
                         qname = self.graph.resolve_node(fn.module, node.func)
@@ -316,7 +317,7 @@ class _CheckpointAnalysis:
                     args = param_names(self.graph.functions[
                         f"{info.qname}.{stmt.name}"])
                     selfname = args[0] if args else "self"
-                    for node in ast.walk(stmt):
+                    for node in info.module.walk(stmt):
                         if (isinstance(node, ast.Attribute)
                                 and isinstance(node.ctx, (ast.Store,
                                                           ast.Del))

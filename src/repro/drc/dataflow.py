@@ -168,13 +168,14 @@ class DataflowEngine:
         effects: dict[str, ParamEffects] = {p: ParamEffects() for p in params}
         if not params:
             return effects
+        nodes = mod.walk(fn.node)
         local_env = imports_in(
-            [s for s in ast.walk(fn.node) if isinstance(s, ast.stmt)],
+            [s for s in nodes if isinstance(s, ast.stmt)],
             module_qname(mod.relpath), False,
         )
-        aliases = self._collect_aliases(fn.node, set(params))
+        aliases = self._collect_aliases(nodes, set(params))
 
-        for node in ast.walk(fn.node):
+        for node in nodes:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 if (isinstance(node.value, ast.Name)
                         and node.value.id in effects):
@@ -244,14 +245,15 @@ class DataflowEngine:
             else:
                 effects[alias[1]].mutate(alias[2], site)
 
-    def _collect_aliases(self, fnode: ast.AST,
+    def _collect_aliases(self, nodes: list[ast.AST],
                          params: set[str]) -> dict[str, _Alias]:
+        """Local aliases of the params over a function's walked nodes."""
         aliases: dict[str, _Alias] = {}
         # iterate to a fixpoint so alias-of-alias chains resolve (2 passes
         # cover everything seen in practice; cap at 4 defensively)
         for _ in range(4):
             changed = False
-            for node in ast.walk(fnode):
+            for node in nodes:
                 pairs: list[tuple[ast.expr, ast.expr]] = []
                 if isinstance(node, ast.Assign) and len(node.targets) >= 1:
                     pairs = [(t, node.value) for t in node.targets]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import PurePosixPath
 
 from repro.drc.rules import LintModule, _dotted
@@ -77,6 +78,7 @@ class FunctionInfo:
         return out
 
 
+@lru_cache(maxsize=4096)
 def module_qname(relpath: str) -> str:
     """Dotted import path for a file path relative to the lint root."""
     parts = list(PurePosixPath(relpath).with_suffix("").parts)
@@ -173,7 +175,7 @@ class ProjectGraph:
             level = _iter_module_level(mod.tree)
             facts.env = imports_in(level, qname, is_package)
             for stmt in level:
-                for name in _bound_names(stmt):
+                for name in _bound_names(mod, stmt):
                     facts.defs.add(name)
             self.modules[qname] = mod
             self._facts[qname] = facts
@@ -363,7 +365,7 @@ class ProjectGraph:
         return out
 
 
-def _bound_names(stmt: ast.stmt) -> list[str]:
+def _bound_names(mod: LintModule, stmt: ast.stmt) -> list[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     out: list[str] = []
@@ -373,7 +375,7 @@ def _bound_names(stmt: ast.stmt) -> list[str]:
     elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
         targets = [stmt.target]
     for t in targets:
-        for node in ast.walk(t):
+        for node in mod.walk(t):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 out.append(node.id)
     return out

@@ -183,6 +183,13 @@ def _analyze_file(path_str: str, rel: str,
         line = getattr(exc, "lineno", 1) or 1
         return _FileRecord(rel, sha, parse_error=Violation(
             "DRC001", rel, line, 1, f"file could not be parsed: {exc}"))
+    except (RecursionError, MemoryError) as exc:
+        # CPython's parser gives up on deep nesting this way (a RecursionError
+        # from about 3,000 levels, a MemoryError from about 10,000)
+        return _FileRecord(rel, sha, parse_error=Violation(
+            "DRC001", rel, 1, 1,
+            f"file could not be parsed: nesting too deep for the parser "
+            f"({type(exc).__name__})"))
     record = _FileRecord(rel, sha, mod=mod,
                          suppressions=parse_suppressions(source))
     if run_rules:
@@ -341,6 +348,7 @@ def run_lint(paths: Iterable[str | Path], root: Path | None = None, *,
                 n_suppressed += 1
             else:
                 kept.append(v)
+    parse_errors.extend(project.errors)
     t_project = time.perf_counter()
 
     violations = sorted(kept, key=lambda v: (v.path, v.line, v.col, v.code))

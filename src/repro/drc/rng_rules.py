@@ -61,6 +61,12 @@ _DISPATCH_METHODS = frozenset({
     "starmap", "starmap_async", "map_async",
 })
 
+#: expression depth past which a module is reported as DRC001 instead of
+#: scanned: the scan recurses once per level, and a fixed cap (real code
+#: nests under 20 deep) keeps the outcome independent of how deep the
+#: caller's own stack already is
+_MAX_NESTING = 500
+
 #: dotted-call prefixes whose result depends on ambient entropy/time
 _ENTROPY_PREFIXES = ("time.", "datetime.", "secrets.", "uuid.", "os.")
 
@@ -155,7 +161,7 @@ class _ScopeTaint:
                 "numpy.random.SFC64", "numpy.random.MT19937"):
             seed_args = list(call.args) + [kw.value for kw in call.keywords]
         for arg in seed_args:
-            for sub in ast.walk(arg):
+            for sub in self.mod.walk(arg):
                 if not isinstance(sub, ast.Call):
                     continue
                 sub_name = a.resolve(self.mod, sub.func)
@@ -226,15 +232,18 @@ class _ScopeTaint:
             if isinstance(child, ast.expr):
                 self._scan_expr(child, self.env)
 
-    def _scan_expr(self, expr: ast.expr, env: dict[str, _Origin]) -> None:
+    def _scan_expr(self, expr: ast.expr, env: dict[str, _Origin],
+                   depth: int = 0) -> None:
         """Record consumer constructions and DRC142 findings inside expr."""
+        if depth > _MAX_NESTING:
+            raise RecursionError(f"expression nested over {_MAX_NESTING} deep")
         if isinstance(expr, (ast.Lambda,)):
             return
         if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                              ast.DictComp)):
             sub_env = dict(env)
             for gen in expr.generators:
-                self._scan_expr(gen.iter, env)
+                self._scan_expr(gen.iter, env, depth + 1)
                 origin = self.classify(gen.iter, env)
                 if origin is not None and origin.kind == "list" \
                         and isinstance(gen.target, ast.Name):
@@ -246,7 +255,7 @@ class _ScopeTaint:
             else:
                 bodies = [expr.elt]
             for body in bodies:
-                self._scan_expr(body, sub_env)
+                self._scan_expr(body, sub_env, depth + 1)
             return
         if isinstance(expr, ast.Call):
             for finding in self.entropy_findings(expr):
@@ -261,7 +270,7 @@ class _ScopeTaint:
                         self.origin_lines[origin.key] = origin.line
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
-                self._scan_expr(child, env)
+                self._scan_expr(child, env, depth + 1)
 
     # -- DRC141 finalization -----------------------------------------------
 
@@ -330,19 +339,33 @@ class _RngAnalysis:
         for mod in project.mods:
             if not mod.in_src:
                 continue
-            module_stmts = [
-                s for s in mod.tree.body
-                if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef))
-            ]
-            scope = _ScopeTaint(self, mod)
-            scope.run(module_stmts)
-            self._finish_scope(mod, scope, None)
-            for node in ast.walk(mod.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scope = _ScopeTaint(self, mod)
-                    scope.run(list(node.body))
-                    self._finish_scope(mod, scope, node)
+            marks = {code: len(found) for code, found in self.findings.items()}
+            try:
+                self._run_module(mod)
+            except RecursionError:
+                # nested past _MAX_NESTING (or, for a shape the cap does not
+                # cover, past the interpreter's own limit): reported, not
+                # half-analyzed
+                for code, n in marks.items():
+                    del self.findings[code][n:]
+                project.unanalyzable(
+                    mod, "expressions nest too deep for the RNG-provenance "
+                         "analysis (DRC141-143)")
+
+    def _run_module(self, mod: LintModule) -> None:
+        module_stmts = [
+            s for s in mod.tree.body
+            if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+        ]
+        scope = _ScopeTaint(self, mod)
+        scope.run(module_stmts)
+        self._finish_scope(mod, scope, None)
+        for node in mod.walk():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = _ScopeTaint(self, mod)
+                scope.run(list(node.body))
+                self._finish_scope(mod, scope, node)
 
     def _finish_scope(self, mod: LintModule, scope: _ScopeTaint,
                       fnode: ast.FunctionDef | ast.AsyncFunctionDef | None
@@ -354,7 +377,7 @@ class _RngAnalysis:
                 self.add(mod, "DRC143", node, message)
 
 
-def _free_names(node: ast.AST) -> set[str]:
+def _free_names(mod: LintModule, node: ast.AST) -> set[str]:
     """Names a nested function reads but does not bind itself."""
     bound: set[str] = set()
     loaded: set[str] = set()
@@ -368,7 +391,7 @@ def _free_names(node: ast.AST) -> set[str]:
             bound.add(args.vararg.arg)
         if args.kwarg:
             bound.add(args.kwarg.arg)
-    for sub in ast.walk(node):
+    for sub in mod.walk(node):
         if isinstance(sub, ast.Name):
             if isinstance(sub.ctx, ast.Store):
                 bound.add(sub.id)
@@ -385,15 +408,16 @@ def _worker_closure_findings(
 ) -> Iterator[tuple[ast.AST, str]]:
     """DRC143: closures that capture a tainted stream and are handed to a
     worker-dispatch call inside the same function."""
+    nodes = scope.mod.walk(fnode)
     tainted_defs: dict[str, int] = {}
     tainted_lambdas: dict[ast.Lambda, int] = {}
-    for node in ast.walk(fnode):
+    for node in nodes:
         if node is fnode:
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             captured = [
-                name for name in sorted(_free_names(node))
+                name for name in sorted(_free_names(scope.mod, node))
                 if scope.env.get(name) is not None
             ]
             if not captured:
@@ -405,7 +429,7 @@ def _worker_closure_findings(
                 tainted_defs[node.name] = line
     if not tainted_defs and not tainted_lambdas:
         return
-    for node in ast.walk(fnode):
+    for node in nodes:
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _DISPATCH_METHODS):

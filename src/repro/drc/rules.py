@@ -97,6 +97,34 @@ class LintModule:
     source: str
     package: str | None  # top-level subpackage under ``repro`` ("core", ...)
     in_src: bool  # lives under src/repro (product code, not tests/examples)
+    #: node -> its subtree in ``ast.walk`` order (see :meth:`walk`)
+    _walks: dict[ast.AST, list[ast.AST]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def walk(self, node: ast.AST | None = None) -> list[ast.AST]:
+        """``list(ast.walk(node))`` for a node of this module's tree (the
+        whole tree when ``node`` is None), computed once per node.
+
+        Every rule that walks a subtree goes through here, so a lint run
+        walks each subtree at most once however many rules look at it.
+        The list is shared between callers: iterate it, never mutate it.
+        """
+        root = self.tree if node is None else node
+        nodes = self._walks.get(root)
+        if nodes is None:
+            # breadth-first like ast.walk: children are appended in
+            # iter_child_nodes order while the loop reads the list
+            nodes = [root]
+            for cur in nodes:
+                for name in cur._fields:
+                    value = getattr(cur, name, None)
+                    if isinstance(value, ast.AST):
+                        nodes.append(value)
+                    elif isinstance(value, list):
+                        nodes.extend(v for v in value
+                                     if isinstance(v, ast.AST))
+            self._walks[root] = nodes
+        return nodes
 
     @classmethod
     def parse(cls, path: Path, relpath: str, source: str) -> "LintModule":
@@ -119,6 +147,14 @@ class Project:
 
     mods: list[LintModule]
     _graph: "ProjectGraph | None" = field(default=None, repr=False)
+    #: DRC001 findings for files a project analysis could not finish
+    errors: list[Violation] = field(default_factory=list)
+
+    def unanalyzable(self, mod: LintModule, what: str) -> None:
+        """Report ``mod`` as DRC001 because ``what`` could not finish on
+        it; the analysis goes on with the other files."""
+        self.errors.append(Violation(
+            "DRC001", mod.relpath, 1, 1, f"file could not be analyzed: {what}"))
 
     @property
     def graph(self) -> "ProjectGraph":
@@ -198,7 +234,7 @@ class WallClockRule(Rule):
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         if not _deterministic_scope(mod):
             return
-        for node in ast.walk(mod.tree):
+        for node in mod.walk():
             if isinstance(node, ast.Attribute):
                 name = _dotted(node)
                 if name in _WALL_CLOCK:
@@ -227,7 +263,7 @@ class GlobalRandomRule(Rule):
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         if not _deterministic_scope(mod):
             return
-        for node in ast.walk(mod.tree):
+        for node in mod.walk():
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
@@ -254,7 +290,7 @@ class NumpyGlobalRandomRule(Rule):
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         if not _deterministic_scope(mod):
             return
-        for node in ast.walk(mod.tree):
+        for node in mod.walk():
             if isinstance(node, ast.Attribute):
                 name = _dotted(node)
                 if name is None:
@@ -298,7 +334,7 @@ class SetIterationRule(Rule):
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         if not _deterministic_scope(mod):
             return
-        for node in ast.walk(mod.tree):
+        for node in mod.walk():
             iters: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
@@ -324,7 +360,7 @@ class DirectMetricRule(Rule):
     def check_module(self, mod: LintModule) -> Iterator[Violation]:
         if not mod.in_src or mod.package == "telemetry":
             return
-        for node in ast.walk(mod.tree):
+        for node in mod.walk():
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -360,7 +396,7 @@ class LabelConsistencyRule(Rule):
         for mod in project.mods:
             if not mod.in_src:
                 continue
-            for node in ast.walk(mod.tree):
+            for node in mod.walk():
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in _REGISTRY_FACTORIES
@@ -418,13 +454,14 @@ class RegistryCoverageRule(Rule):
     version = 2  # re-grounded on the exact class-hierarchy resolver
 
     @staticmethod
-    def _switches_alias_refs(tree: ast.Module) -> list[ast.Attribute]:
+    def _switches_alias_refs(mod: LintModule) -> list[ast.Attribute]:
         """``<alias>.X`` references in scopes where ``<alias>`` is bound by a
         ``repro.switches`` import (and never rebound to anything else)."""
         refs: list[ast.Attribute] = []
-        scopes: list[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef] = [tree]
+        scopes: list[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef] = [
+            mod.tree]
         scopes.extend(
-            n for n in ast.walk(tree)
+            n for n in mod.walk()
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         )
         for scope in scopes:
@@ -445,12 +482,12 @@ class RegistryCoverageRule(Rule):
             rebound = {
                 t.id
                 for stmt in body
-                for t in ast.walk(stmt)
+                for t in mod.walk(stmt)
                 if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
             }
             usable = aliases - rebound
             for stmt in body:
-                for node in ast.walk(stmt):
+                for node in mod.walk(stmt):
                     if (isinstance(node, ast.Attribute)
                             and isinstance(node.value, ast.Name)
                             and node.value.id in usable):
@@ -474,7 +511,7 @@ class RegistryCoverageRule(Rule):
             # the abstract root is the contract, not a registrable kernel
             if not info.name.startswith("_") and info.name != "SlottedSwitch"
         }
-        alias_refs = self._switches_alias_refs(registry.tree)
+        alias_refs = self._switches_alias_refs(registry)
         referenced = {node.attr for node in alias_refs}
         for name in sorted(set(kernels) - referenced):
             info = kernels[name]
@@ -519,14 +556,14 @@ class RegistryCoverageRule(Rule):
         if not word_kernels:
             return
         reachable: set[str] = set()
-        trees: list[ast.AST] = [registry.tree]
-        trees.extend(
-            fn.node for fn in graph.functions.values()
+        walks = [registry.walk()]
+        walks.extend(
+            fn.module.walk(fn.node) for fn in graph.functions.values()
             if fn.name == "make_pipelined_switch"
             and fn.module.in_src and fn.module.package == "core"
         )
-        for tree in trees:
-            for node in ast.walk(tree):
+        for nodes in walks:
+            for node in nodes:
                 if isinstance(node, ast.Name):
                     reachable.add(node.id)
                 elif isinstance(node, ast.Attribute):
